@@ -27,13 +27,7 @@
                    and asserts the flat-memory ceiling, the PASS
                    verdict and the seeded-corruption FAIL
 
-     parallel/*    multicore verification: row-blocked parallel
-                   closure / Theorem-7 at n in {400,600} and the
-                   per-shard fan-out at S = 8, one -dD variant per
-                   --domains value; with --json also records
-                   wall-clock speedup-vs-domains metrics
-
-   Usage: main.exe [--only GROUP]... [--json FILE] [--seed S] [--domains D]...
+   Usage: main.exe [--only GROUP]... [--json FILE] [--seed S]
                    [--compare OLD.json] [--compare-warn] [--quick]
      --only GROUP   run the named group(s) only (repeatable, e.g.
                     `--only core --only shard`), skip the experiment
@@ -43,8 +37,6 @@
                     PRs (BENCH_core.json at the repo root)
      --seed S       base PRNG seed for every generated input (default 1,
                     which reproduces the recorded BENCH_core.json runs)
-     --domains D    domain count for the `parallel` group (repeatable;
-                    default 1 2 4), each D becomes a -dD test variant
      --compare OLD  diff this run against a previously recorded JSON
                     trajectory: print old/new/ratio for every key in
                     both, and exit 3 if any `mmc/core/*` estimate
@@ -60,22 +52,21 @@ open Bechamel
 open Toolkit
 open Mmc_core
 
-(* --- command line (parsed before the inputs: the generator seeds and
-   the parallel group's domain counts depend on it) --- *)
+(* --- command line (parsed before the inputs: the generator seeds
+   depend on it) --- *)
 
 let group_names =
   [ "T1"; "T2"; "T7"; "core"; "protocol"; "P4"; "P5"; "figures"; "shard";
-    "fastpath"; "stream"; "recovery"; "chaos"; "parallel" ]
+    "fastpath"; "stream"; "recovery"; "chaos" ]
 
-let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quick
-    =
+let only, json_file, cli_seed, compare_file, compare_warn, cli_quick =
   let only = ref [] and json = ref None in
-  let seed = ref 1 and domains = ref [] in
+  let seed = ref 1 in
   let compare_file = ref None and compare_warn = ref false in
   let quick = ref false in
   let usage code =
     Fmt.epr
-      "usage: %s [--only GROUP]... [--json FILE] [--seed S] [--domains D]... \
+      "usage: %s [--only GROUP]... [--json FILE] [--seed S] \
        [--compare OLD.json] [--compare-warn] [--quick]@.  \
        groups: %s@."
       Sys.argv.(0)
@@ -104,14 +95,6 @@ let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quic
     | "--seed" :: s :: rest ->
       seed := int_arg "--seed" s;
       parse rest
-    | "--domains" :: d :: rest ->
-      let d = int_arg "--domains" d in
-      if d < 0 then begin
-        Fmt.epr "--domains must be >= 0@.";
-        usage 2
-      end;
-      domains := !domains @ [ d ];
-      parse rest
     | "--compare" :: f :: rest ->
       compare_file := Some f;
       parse rest
@@ -130,15 +113,14 @@ let only, json_file, cli_seed, cli_domains, compare_file, compare_warn, cli_quic
   ( !only,
     !json,
     !seed,
-    (match !domains with [] -> [ 1; 2; 4 ] | ds -> ds),
     !compare_file,
     !compare_warn,
     !quick )
 
-(* Assertions the metric passes make about this run (the parallel-
-   overhead guard, batched-vs-unbatched verdict equality, the arena
-   allocation win): collected here, reported and turned into a
-   non-zero exit at the end so one failure doesn't hide the rest. *)
+(* Assertions the metric passes make about this run (batched-vs-
+   unbatched verdict equality, the arena allocation win): collected
+   here, reported and turned into a non-zero exit at the end so one
+   failure doesn't hide the rest. *)
 let hard_failures : string list ref = ref []
 
 let fail_check fmt = Fmt.kstr (fun s -> hard_failures := !hard_failures @ [ s ]) fmt
@@ -1024,203 +1006,6 @@ let chaos_metrics () =
         ])
     chaos_variants
 
-(* --- multicore verification: the `parallel` group --- *)
-
-(* One pool per requested --domains value, spawned once and reused by
-   every -dD test variant (the whole point of the pool: submissions
-   never spawn).  Joined explicitly before exit. *)
-let par_pools =
-  let ds = List.sort_uniq compare cli_domains in
-  let pools = List.map (fun d -> (d, Mmc_parallel.Pool.create ~num_domains:d)) ds in
-  at_exit (fun () -> List.iter (fun (_, p) -> Mmc_parallel.Pool.shutdown p) pools);
-  pools
-
-(* The parallel group's closure / Theorem-7 input, one size up from
-   the core group: at n = 600 the closure is ~3.4x the n = 400 one,
-   enough work for the per-pivot barrier to amortize. *)
-let par600 =
-  let h = consistent 600 ((600 * 7) + soff) in
-  let base = ww_base h in
-  (h, base)
-
-let shard8 = List.assoc 8 shard_inputs
-
-(* Speedup-vs-domains variants of the three kernels the tentpole
-   targets: the row-blocked Warshall closure (with the Theorem-7
-   check on top of it) and the per-shard fan-out of the sharded
-   verifier (S = 8 sub-histories of the n = 600 trace, the batch
-   oracle skipped so only the decomposed pipeline is measured).
-   -d1 uses a 1-worker pool and must stay within noise of the
-   sequential `core`/`shard` numbers. *)
-let bench_parallel =
-  let h600, base600 = par600 in
-  let h400, b400 =
-    let top, _ = core_top in
-    let _, h, b, _ = List.find (fun (n, _, _, _) -> n = top) core_inputs in
-    (h, b)
-  in
-  Test.make_grouped ~name:"parallel"
-    (List.concat_map
-       (fun (d, pool) ->
-         [
-           Test.make
-             ~name:(Fmt.str "closure-%d-d%d" (fst core_top) d)
-             (Staged.stage (fun () ->
-                  ignore (Relation.transitive_closure ~pool b400)));
-           Test.make
-             ~name:(Fmt.str "closure-600-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore (Relation.transitive_closure ~pool base600)));
-           Test.make
-             ~name:(Fmt.str "theorem7-ww-%d-d%d" (fst core_top) d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Check_constrained.check_relation ~pool h400 b400
-                       Constraints.WW)));
-           Test.make
-             ~name:(Fmt.str "theorem7-ww-600-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Check_constrained.check_relation ~pool h600 base600
-                       Constraints.WW)));
-           Test.make
-             ~name:(Fmt.str "verify-S8-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Mmc_shard.Check_sharded.check_shards ~pool
-                       shard8.Mmc_shard.Shard_runner.recorders
-                       ~flavour:History.Msc)));
-           Test.make
-             ~name:(Fmt.str "check-S8-d%d" d)
-             (Staged.stage (fun () ->
-                  ignore
-                    (Mmc_shard.Shard_runner.check ~pool ~oracle:false shard8
-                       ~flavour:History.Msc)));
-         ])
-       par_pools)
-
-(* Wall-clock speedup-vs-domains metrics (ratio of the sequential
-   mean over the D-domain mean on the same input), recorded when the
-   parallel group runs with --json.  Wall clock, not [Sys.time]: CPU
-   time sums over domains and would hide any parallel win. *)
-let parallel_metrics () =
-  let wall_ms repeats f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to repeats do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) *. 1_000. /. float_of_int repeats
-  in
-  let reps = if cli_quick then 5 else 20 in
-  (* Calibrate the parallel cutover on the largest pool before timing
-     anything: the speedup kernels below then run under the installed
-     threshold, exactly as a calibrated production run would.  -1 in
-     the JSON means max_int — the parallel path never wins here. *)
-  let big_pool = List.fold_left (fun _acc (_, p) -> Some p) None par_pools in
-  let cutover =
-    match big_pool with
-    | None -> max_int
-    | Some pool ->
-      if cli_quick then begin
-        let c =
-          Mmc_parallel.Par_closure.calibrate ~sizes:[ 64; 96; 128 ] ~pool ()
-        in
-        Relation.set_par_cutover c;
-        c
-      end
-      else Relation.calibrate ~pool ()
-  in
-  Fmt.pr "parallel: calibrated cutover = %s@."
-    (if cutover = max_int then "max_int (parallel never wins)"
-     else string_of_int cutover);
-  let _, base600 = par600 in
-  (* Wave count of one forced parallel closure: the chunked scheme
-     synchronizes twice per 32-pivot chunk, so the counter delta pins
-     the O(n / chunk) claim (2 * ceil(n/32) waves; 0 when the pool has
-     a single worker and the run degrades to sequential). *)
-  let waves_metric =
-    match big_pool with
-    | None -> []
-    | Some pool ->
-      Mmc_parallel.Par_closure.reset_waves ();
-      ignore (Relation.transitive_closure ~pool ~cutover:1 base600);
-      [
-        ( "metrics/parallel/closure-600/waves",
-          float_of_int (Mmc_parallel.Par_closure.waves ()) );
-      ]
-  in
-  (* Parallel-overhead guard on the top core closure: with the pivot
-     chunking, a multi-worker closure of a matrix this size must stay
-     within 1.5x of the 1-worker wall time even where parallelism does
-     not pay.  The cutover is forced to 1 so the parallel path really
-     runs.  On boxes without enough cores the guard only logs. *)
-  let n_top, b_top = core_top in
-  let seq_ms_top =
-    wall_ms reps (fun () -> ignore (Relation.transitive_closure b_top))
-  in
-  let guard_metrics =
-    List.concat_map
-      (fun (d, pool) ->
-        if d < 2 then []
-        else begin
-          let ms =
-            wall_ms reps (fun () ->
-                ignore (Relation.transitive_closure ~pool ~cutover:1 b_top))
-          in
-          let ratio = ms /. Float.max 1e-9 seq_ms_top in
-          if ratio > 1.5 then begin
-            if Domain.recommended_domain_count () >= 4 then
-              fail_check
-                "closure-%d: %d-domain parallel closure is %.2fx the \
-                 sequential wall time (limit 1.5x)"
-                n_top d ratio
-            else
-              Fmt.pr
-                "closure-%d: d%d/seq ratio %.2f exceeds 1.5 (log only: %d \
-                 recommended domains)@."
-                n_top d ratio
-                (Domain.recommended_domain_count ())
-          end;
-          [
-            (Fmt.str "metrics/parallel/closure-%d/ms-d%d-forced" n_top d, ms);
-            (Fmt.str "metrics/parallel/closure-%d/overhead-d%d" n_top d, ratio);
-          ]
-        end)
-      par_pools
-  in
-  let kernels =
-    [
-      ( "closure-600",
-        reps,
-        fun pool ->
-          ignore (Relation.transitive_closure ?pool base600) );
-      ( "verify-S8",
-        reps,
-        fun pool ->
-          ignore
-            (Mmc_shard.Check_sharded.check_shards ?pool
-               shard8.Mmc_shard.Shard_runner.recorders ~flavour:History.Msc) );
-    ]
-  in
-  ( "metrics/parallel/calibrated-cutover",
-    if cutover = max_int then -1. else float_of_int cutover )
-  :: waves_metric
-  @ (Fmt.str "metrics/parallel/closure-%d/ms-seq-top" n_top, seq_ms_top)
-     :: guard_metrics
-  @ List.concat_map
-      (fun (name, repeats, kernel) ->
-        let seq_ms = wall_ms repeats (fun () -> kernel None) in
-        (Fmt.str "metrics/parallel/%s/ms-seq" name, seq_ms)
-        :: List.concat_map
-             (fun (d, pool) ->
-               let ms = wall_ms repeats (fun () -> kernel (Some pool)) in
-               [
-                 (Fmt.str "metrics/parallel/%s/ms-d%d" name d, ms);
-                 (Fmt.str "metrics/parallel/%s/speedup-d%d" name d, seq_ms /. ms);
-               ])
-             par_pools)
-      kernels
-
 let groups =
   [
     ("T1", bench_t1);
@@ -1236,7 +1021,6 @@ let groups =
     ("stream", bench_stream);
     ("recovery", bench_recovery);
     ("chaos", bench_chaos);
-    ("parallel", bench_parallel);
   ]
 
 let all_tests =
@@ -1259,23 +1043,8 @@ let benchmark () =
   let results = List.map (fun i -> Analyze.all ols i raw) instances in
   Analyze.merge ols instances results
 
-(* Pre-PR reference points for the `core` group, measured with the
-   byte-matrix Relation and the two-closure checker this PR replaced
-   (same machine, same inputs, wall-clock mean over repeated runs).
-   Kept in the JSON so the trajectory file carries before and after. *)
-let baselines =
-  [
-    ("baseline/byte-matrix/theorem7-ww-50", 344_680.);
-    ("baseline/byte-matrix/theorem7-ww-100", 1_951_396.);
-    ("baseline/byte-matrix/theorem7-ww-200", 13_793_136.);
-    ("baseline/byte-matrix/theorem7-ww-400", 148_979_667.);
-    ("baseline/byte-matrix/legality-100", 65_924.);
-    ("baseline/byte-matrix/closure-100", 445_080.);
-    ("baseline/byte-matrix/closure-400", 46_486_143.);
-  ]
-
-(* the shard / core / parallel metrics ride along whenever their
-   group ran; computed once, shared by --json and --compare *)
+(* each group's metrics ride along whenever the group ran; computed
+   once, shared by --json and --compare *)
 let collect_metrics () =
   let ran g = only = [] || List.mem g only in
   (if ran "core" then core_metrics () else [])
@@ -1283,8 +1052,7 @@ let collect_metrics () =
   @ (if ran "fastpath" then fastpath_metrics () else [])
   @ (if ran "stream" then stream_metrics () else [])
   @ (if ran "recovery" then recovery_metrics () else [])
-  @ (if ran "chaos" then chaos_metrics () else [])
-  @ if ran "parallel" then parallel_metrics () else []
+  @ if ran "chaos" then chaos_metrics () else []
 
 let write_json file entries =
   let oc = open_out file in
@@ -1360,15 +1128,11 @@ let compare_against old_file entries =
     let fresh, common =
       List.partition_map
         (fun (name, now) ->
-          if String.length name >= 9 && String.sub name 0 9 = "baseline/" then
-            Right None
-          else
-            match List.assoc_opt name old with
-            | Some before -> Right (Some (name, before, now))
-            | None -> Left name)
+          match List.assoc_opt name old with
+          | Some before -> Right (name, before, now)
+          | None -> Left name)
         entries
     in
-    let common = List.filter_map Fun.id common in
     Fmt.pr "@.=== bench-diff vs %s (%d shared keys) ===@." old_file
       (List.length common);
     if fresh <> [] then
@@ -1433,8 +1197,7 @@ let () =
       rows;
   if json_file <> None || compare_file <> None then begin
     let entries =
-      baselines
-      @ List.filter_map (fun (n, e) -> Option.map (fun e -> (n, e)) e) rows
+      List.filter_map (fun (n, e) -> Option.map (fun e -> (n, e)) e) rows
       @ collect_metrics ()
     in
     Option.iter (fun file -> write_json file entries) json_file;

@@ -81,16 +81,16 @@ let check_closed ?arena h closed kind =
     not trusted.  Used directly when the synchronization order (e.g.
     the atomic-broadcast order) is supplied as extra edges beyond a
     standard flavour. *)
-let check_relation ?pool ?arena h base kind =
-  let closed = Relation.transitive_closure ?pool ?arena base in
+let check_relation ?arena h base kind =
+  let closed = Relation.transitive_closure ?arena base in
   let verdict = check_closed ?arena h closed kind in
   Option.iter (fun a -> Relation.recycle a closed) arena;
   verdict
 
 (** [check h flavour kind] — {!check_relation} over the base relation
     of the given consistency condition. *)
-let check ?pool ?arena h flavour kind =
-  check_relation ?pool ?arena h (History.base_relation h flavour) kind
+let check ?arena h flavour kind =
+  check_relation ?arena h (History.base_relation h flavour) kind
 
 (** Incrementally closed relation for checking a growing trace: edges
     stream in (process order, reads-from, synchronization order...) as

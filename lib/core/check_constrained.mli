@@ -30,14 +30,11 @@ val check_closed :
 (** [check_relation h base kind] — decide admissibility with respect to
     the (not necessarily closed) relation [base], verifying constraint
     [kind] first.  Use when the synchronization order (e.g. the atomic
-    broadcast order) is supplied as extra edges.  [~pool] parallelizes
-    the up-front Warshall closure ({!Relation.transitive_closure});
-    the verdict is identical with or without it.  [~arena] recycles
+    broadcast order) is supplied as extra edges.  [~arena] recycles
     the closure intermediates (both the closed copy and the
     [~rw]-extension), cutting the check's allocations to near zero
     after warm-up. *)
 val check_relation :
-  ?pool:Mmc_parallel.Pool.t ->
   ?arena:Relation.Arena.arena ->
   History.t ->
   Relation.t ->
@@ -47,7 +44,6 @@ val check_relation :
 (** [check h flavour kind] — over the base relation of the given
     consistency condition. *)
 val check :
-  ?pool:Mmc_parallel.Pool.t ->
   ?arena:Relation.Arena.arena ->
   History.t ->
   History.flavour ->

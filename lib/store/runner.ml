@@ -135,40 +135,20 @@ let make_store ?fault ?sink ?tail ?ownership ?fsink cfg engine ~rng ~recorder =
     way a live verifier would follow a growing trace: edges already
     implied by the closure cost O(1), and the final check runs on the
     maintained closure without ever re-closing from scratch. *)
-let check_history ?pool ?arena ?(kind = Constraints.WW) h ~sync_order ~flavour
-    =
-  match pool with
-  | Some _ ->
-    (* With a pool the payoff is in the one-shot Warshall closure, so
-       take the batch route over the same edges: build the relation in
-       one go and let {!Mmc_core.Relation.transitive_closure} block
-       its rows over the pool's domains.  [test_incremental] pins this
-       path to the incremental one verdict-for-verdict. *)
-    let rel = Relation.create (History.n_mops h) in
-    Relation.add_edges rel (History.base_edges h flavour);
-    let rec link = function
-      | a :: (b :: _ as rest) ->
-        Relation.add rel a b;
-        link rest
-      | [ _ ] | [] -> ()
-    in
-    link sync_order;
-    Check_constrained.check_relation ?pool ?arena h rel kind
-  | None ->
-    let inc = Check_constrained.Incremental.create (History.n_mops h) in
-    Check_constrained.Incremental.add_edges inc (History.base_edges h flavour);
-    let rec link = function
-      | a :: (b :: _ as rest) ->
-        Check_constrained.Incremental.add_edge inc a b;
-        link rest
-      | [ _ ] | [] -> ()
-    in
-    link sync_order;
-    Check_constrained.Incremental.check ?arena inc h kind
+let check_history ?arena ?(kind = Constraints.WW) h ~sync_order ~flavour =
+  let inc = Check_constrained.Incremental.create (History.n_mops h) in
+  Check_constrained.Incremental.add_edges inc (History.base_edges h flavour);
+  let rec link = function
+    | a :: (b :: _ as rest) ->
+      Check_constrained.Incremental.add_edge inc a b;
+      link rest
+    | [ _ ] | [] -> ()
+  in
+  link sync_order;
+  Check_constrained.Incremental.check ?arena inc h kind
 
-let check_trace ?pool ?arena ?kind (res : result) ~flavour =
-  check_history ?pool ?arena ?kind res.history ~sync_order:res.sync_order
-    ~flavour
+let check_trace ?arena ?kind (res : result) ~flavour =
+  check_history ?arena ?kind res.history ~sync_order:res.sync_order ~flavour
 
 (** [run ~seed cfg ~workload] — [workload rng ~proc ~step] produces the
     [step]-th m-operation of client [proc]. *)

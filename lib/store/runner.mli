@@ -88,12 +88,9 @@ val make_store :
     atomic-broadcast order, checked under [kind] (default WW).  The
     transitive closure is maintained incrementally edge by edge
     ({!Mmc_core.Check_constrained.Incremental}), never re-closed from
-    scratch.  With [~pool] the same edges go through the batch
-    pipeline instead, so the one-shot closure can be row-blocked over
-    the pool's domains; the verdict is the same either way (pinned by
-    [test_incremental]). *)
+    scratch; [test_incremental] pins its verdicts to the batch
+    checker's. *)
 val check_trace :
-  ?pool:Mmc_parallel.Pool.t ->
   ?arena:Relation.Arena.arena ->
   ?kind:Constraints.kind ->
   result ->
@@ -105,7 +102,6 @@ val check_trace :
     NDJSON files, the soak's full-verification cross-check) rather
     than through {!run}. *)
 val check_history :
-  ?pool:Mmc_parallel.Pool.t ->
   ?arena:Relation.Arena.arena ->
   ?kind:Constraints.kind ->
   History.t ->

@@ -129,6 +129,19 @@ let assert_verified ?kind ~flavour name (res : Shard_runner.result) =
   Alcotest.(check bool)
     (Fmt.str "%s: incremental/batch agree" name)
     true v.Check_sharded.agree;
+  (* Lean verification (oracle skipped): same stitched verdict, no
+     batch result, agreement vacuously true. *)
+  let lean = Shard_runner.check ?kind ~oracle:false res ~flavour in
+  Alcotest.(check bool)
+    (Fmt.str "%s: lean stitched verdict" name)
+    true
+    (match (v.Check_sharded.stitched, lean.Check_sharded.stitched) with
+    | Check_constrained.Admissible _, Check_constrained.Admissible _ -> true
+    | a, b -> a = b);
+  Alcotest.(check bool)
+    (Fmt.str "%s: lean skips oracle" name)
+    true
+    (lean.Check_sharded.batch = None && lean.Check_sharded.agree);
   v
 
 (* WW workloads (mixed reads and updates): each shard must be
