@@ -17,12 +17,13 @@ test:
 check: build test
 
 # Mirror of .github/workflows/ci.yml (its single job runs this
-# target): build, full test suite, the CLI smokes and the bench smoke
-# (reduced sizes, compared against the committed trajectory in warn
+# target): build, full test suite, the CLI smokes, the quick
+# experiment tables (so the registry cannot silently stop running) and
+# the bench smoke (reduced sizes, compared against the committed trajectory in warn
 # mode — CI runners are too noisy for a hard perf gate, but a broken
 # bench or a failed built-in metric assertion still fails the job via
 # the bench exit code).
-ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke bench-smoke
+ci: build test recover-smoke chaos-smoke scrub-smoke soak-smoke fastpath-smoke experiments bench-smoke
 
 # Reduced-size bench passes with metric assertions active, each
 # written to a scratch JSON and diffed against the committed
@@ -135,9 +136,10 @@ fastpath-smoke: build
 	  --fastpath wrong --seed 2; \
 	  test $$? -eq 1
 
-# Quick versions of every registered experiment table.
+# Quick versions of every registered experiment table (no id = all of
+# them; an unknown id exits 124).
 experiments: build
-	$(DUNE) exec bin/mmc_cli.exe -- experiments all --quick
+	$(DUNE) exec bin/mmc_cli.exe -- experiments --quick
 
 # Perf-trajectory snapshot: the large-history checker kernels, the
 # sharded-store group, the fastpath and stream groups, and the

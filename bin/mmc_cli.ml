@@ -3,23 +3,40 @@
    Subcommands:
      simulate     run a protocol simulation, report stats, optionally
                   check the trace and save it
+     soak         open-loop run verified by the streaming checker
+     faults       run over a faulty transport and check the trace
+     recover      run the recoverable store under wipe-crashes
+     chaos        fuzz the recoverable store with random fault plans
+     shard        run a sharded store and check the stitched history
      check        check a saved history against a consistency condition
      generate     emit a random history in the text format
      experiments  print experiment tables (see EXPERIMENTS.md)
-     figures      print the paper's worked figures and their verdicts *)
+     figures      print the paper's worked figures and their verdicts
+     dot, show, stats  render or measure a saved history
+
+   The six store-running subcommands (simulate .. shard) parse their
+   common flags through one term, [run_term]. *)
 
 open Cmdliner
 open Mmc_core
+module Store = Mmc_store.Store
+module Runner = Mmc_store.Runner
+module Rstore = Mmc_store.Rstore
+module Fault = Mmc_sim.Fault
+module Stats = Mmc_sim.Stats
+module Rlog = Mmc_recovery.Rlog
+module Window_check = Mmc_stream.Window_check
+module Soak = Mmc_stream.Soak
 
 (* --- shared argument converters --- *)
 
 let store_kind_conv =
   let parse s =
-    match Mmc_store.Store.kind_of_string s with
+    match Store.kind_of_string s with
     | Some k -> Ok k
     | None -> Error (`Msg (Fmt.str "unknown store %S (msc|rmsc|seg|mlin|central|local|causal|lock|aw)" s))
   in
-  Arg.conv (parse, Mmc_store.Store.pp_kind)
+  Arg.conv (parse, Store.pp_kind)
 
 let fastpath_conv =
   let parse s =
@@ -28,19 +45,6 @@ let fastpath_conv =
     | None -> Error (`Msg (Fmt.str "unknown fastpath mode %S (sound|off|wrong)" s))
   in
   Arg.conv (parse, Mmc_fastpath.Classify.pp_mode)
-
-(* --fastpath: the seg store's classifier mode, shared by every
-   command that can run one. *)
-let fastpath_term =
-  Arg.(
-    value
-    & opt fastpath_conv Mmc_fastpath.Classify.Sound
-    & info [ "fastpath" ] ~docv:"MODE"
-        ~doc:
-          "The seg store's commutativity classifier: $(b,sound) (default; \
-           ownership rule), $(b,off) (everything sequenced — the \
-           broadcast-always A/B baseline) or $(b,wrong) (deliberately \
-           unsound, to demonstrate the Theorem-7 oracle catching it).")
 
 let abcast_conv =
   let parse = function
@@ -61,33 +65,229 @@ let flavour_conv =
 
 let latency_conv =
   let parse s =
-    match String.split_on_char ':' s with
-    | [ "constant"; d ] -> Ok (Mmc_sim.Latency.Constant (int_of_string d))
-    | [ "uniform"; lo; hi ] ->
-      Ok (Mmc_sim.Latency.Uniform (int_of_string lo, int_of_string hi))
-    | [ "exp"; m ] -> Ok (Mmc_sim.Latency.Exponential (int_of_string m))
-    | [ "bimodal"; fast; slow; p ] ->
-      Ok
-        (Mmc_sim.Latency.Bimodal
-           {
-             fast = int_of_string fast;
-             slow = int_of_string slow;
-             p_slow = float_of_string p;
-           })
-    | _ ->
-      Error
+    let delay d =
+      match int_of_string_opt d with Some d when d >= 0 -> Some d | _ -> None
+    in
+    let model =
+      let open Mmc_sim.Latency in
+      match String.split_on_char ':' s with
+      | [ "constant"; d ] -> Option.map (fun d -> Constant d) (delay d)
+      | [ "uniform"; lo; hi ] -> (
+        match (delay lo, delay hi) with
+        | Some lo, Some hi when lo <= hi -> Some (Uniform (lo, hi))
+        | _ -> None)
+      | [ "exp"; m ] -> (
+        match int_of_string_opt m with
+        | Some m when m >= 1 -> Some (Exponential m)
+        | _ -> None)
+      | [ "bimodal"; fast; slow; p ] -> (
+        match (delay fast, delay slow, float_of_string_opt p) with
+        | Some fast, Some slow, Some p_slow when p_slow >= 0.0 && p_slow <= 1.0
+          ->
+          Some (Bimodal { fast; slow; p_slow })
+        | _ -> None)
+      | _ -> None
+    in
+    Option.to_result model
+      ~none:
         (`Msg
-          "latency model: constant:D | uniform:LO:HI | exp:MEAN | \
-           bimodal:FAST:SLOW:P")
+          (Fmt.str
+             "bad latency model %S: expected constant:D | uniform:LO:HI | \
+              exp:MEAN | bimodal:FAST:SLOW:P (delays >= 0, LO <= HI, MEAN \
+              >= 1, P in [0, 1])"
+             s))
   in
   Arg.conv (parse, Mmc_sim.Latency.pp)
+
+let fault_plan_usage =
+  "fields are drop=P, spike=P:DELAY, part=FROM:UNTIL:N1+N2+.., \
+   crash=NODE:AT:BACK, wipe=NODE:AT:BACK, tear=NODE:AT, rot=NODE:AT, \
+   stale=NODE:AT (comma-separated; part/crash/wipe and the storage faults \
+   repeatable)"
+
+let fault_plan_conv =
+  (* "drop=0.2,spike=0.05:40,part=150:400:0,crash=2:60:300" — any subset,
+     comma-separated; part islands use '+'-separated node lists.  Every
+     parse error names the offending token and repeats the field
+     grammar: plans are typed by hand, so a bare [int_of_string]
+     exception is not an acceptable diagnostic. *)
+  let parse s =
+    (* [field] is the whole comma-separated chunk the bad token sits
+       in; quoting both pins the error to its context. *)
+    let bad field what token =
+      failwith
+        (Fmt.str "in fault field %S: expected %s, got %S — %s" field what token
+           fault_plan_usage)
+    in
+    let int_in field what token =
+      match int_of_string_opt token with
+      | Some i -> i
+      | None -> bad field (what ^ " (an integer)") token
+    in
+    let float_in field what token =
+      match float_of_string_opt token with
+      | Some f -> f
+      | None -> bad field (what ^ " (a number)") token
+    in
+    try
+      let plan =
+        List.fold_left
+          (fun plan field ->
+            match String.index_opt field '=' with
+            | None ->
+              failwith
+                (Fmt.str "bad fault field %S (missing '=') — %s" field
+                   fault_plan_usage)
+            | Some i -> (
+              let key = String.sub field 0 i in
+              let v = String.sub field (i + 1) (String.length field - i - 1) in
+              let nodes_of str =
+                String.split_on_char '+' str
+                |> List.map (int_in field "an island node id")
+              in
+              match (key, String.split_on_char ':' v) with
+              | "drop", [ p ] ->
+                { plan with Fault.drop = float_in field "a probability" p }
+              | "spike", [ p; d ] ->
+                {
+                  plan with
+                  Fault.spike_prob = float_in field "a probability" p;
+                  spike_delay = int_in field "a spike delay" d;
+                }
+              | "part", [ from_; until; island ] ->
+                {
+                  plan with
+                  Fault.partitions =
+                    {
+                      Fault.from_ = int_in field "a start time" from_;
+                      until = int_in field "an end time" until;
+                      island = nodes_of island;
+                    }
+                    :: plan.Fault.partitions;
+                }
+              | ("crash" | "wipe"), [ node; at; back ] ->
+                {
+                  plan with
+                  Fault.crashes =
+                    {
+                      Fault.node = int_in field "a node id" node;
+                      at = int_in field "a crash time" at;
+                      back = int_in field "a restart time" back;
+                      wipe = key = "wipe";
+                    }
+                    :: plan.Fault.crashes;
+                }
+              | ("tear" | "rot" | "stale"), [ node; at ] -> (
+                let f =
+                  {
+                    Fault.node = int_in field "a node id" node;
+                    at = int_in field "a fault time" at;
+                  }
+                in
+                match key with
+                | "tear" ->
+                  { plan with Fault.tears = f :: plan.Fault.tears }
+                | "rot" ->
+                  { plan with Fault.rots = f :: plan.Fault.rots }
+                | _ ->
+                  {
+                    plan with
+                    Fault.stales = f :: plan.Fault.stales;
+                  })
+              | ("drop" | "spike" | "part" | "crash" | "wipe" | "tear" | "rot"
+                | "stale"), _ ->
+                failwith
+                  (Fmt.str
+                     "bad fault field %S: wrong number of ':'-separated values \
+                      for %S — %s"
+                     field key fault_plan_usage)
+              | _ ->
+                failwith
+                  (Fmt.str "unknown fault key %S in field %S — %s" key field
+                     fault_plan_usage)))
+          Fault.none
+          (String.split_on_char ',' s)
+      in
+      Fault.validate plan;
+      Ok plan
+    with
+    | Failure msg -> Error (`Msg msg)
+    | Invalid_argument msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, Fault.pp_plan)
+
+
+let delivery_conv =
+  let parse s =
+    match Rstore.mode_of_string s with
+    | Some m -> Ok m
+    | None ->
+      Error (`Msg (Fmt.str "unknown delivery mode %S (stable|optimistic)" s))
+  in
+  Arg.conv (parse, Rstore.pp_mode)
+
+let scrub_conv =
+  let parse = function
+    | "off" -> Ok 0
+    | s -> (
+      match int_of_string_opt s with
+      | Some i when i > 0 -> Ok i
+      | _ -> Error (`Msg (Fmt.str "expected a positive interval or 'off', got %S" s)))
+  in
+  let pp ppf = function 0 -> Fmt.string ppf "off" | i -> Fmt.int ppf i in
+  Arg.conv (parse, pp)
+
+let crc_conv =
+  let parse = function
+    | "on" -> Ok true
+    | "off" -> Ok false
+    | s -> Error (`Msg (Fmt.str "expected 'on' or 'off', got %S" s))
+  in
+  let pp ppf b = Fmt.string ppf (if b then "on" else "off") in
+  Arg.conv (parse, pp)
 
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* --- the shared run configuration --- *)
+
+(* Print "mmc: CMD: message" and exit 124, cmdliner's code for a
+   command-line error.  Bad flag values end here, the message naming
+   the flag, before anything runs. *)
+let cli_error ~cmd fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "mmc: %s: %s@." cmd msg;
+      exit 124)
+    fmt
+
+let require_positive ~cmd pairs =
+  List.iter
+    (fun (name, v) -> if v < 1 then cli_error ~cmd "%s must be >= 1" name)
+    pairs
+
+let require_ratio ~cmd pairs =
+  List.iter
+    (fun (name, r) ->
+      if not (r >= 0.0 && r <= 1.0) then
+        cli_error ~cmd "%s must be in [0, 1], got %g" name r)
+    pairs
+
+(* --fastpath: the seg store's classifier mode. *)
+let fastpath_term =
+  Arg.(
+    value
+    & opt fastpath_conv Mmc_fastpath.Classify.Sound
+    & info [ "fastpath" ] ~docv:"MODE"
+        ~doc:
+          "The seg store's commutativity classifier: $(b,sound) (default; \
+           ownership rule), $(b,off) (everything sequenced — the \
+           broadcast-always A/B baseline) or $(b,wrong) (deliberately \
+           unsound, to demonstrate the Theorem-7 oracle catching it).")
+
 (* --batch / --flush-every / --fanout: broadcast-layer batching and
-   tree dissemination, shared by every command that runs a store. *)
-let batch_term =
+   tree dissemination. *)
+let batch_term ~cmd =
   let size =
     Arg.(
       value & opt int 1
@@ -117,77 +317,375 @@ let batch_term =
   in
   let make size flush_every fanout =
     try Mmc_broadcast.Batch.make ~size ~flush_every ~fanout ()
-    with Invalid_argument msg ->
-      Fmt.epr "mmc: %s@." msg;
-      exit 124
+    with Invalid_argument msg -> cli_error ~cmd "%s" msg
   in
   Term.(const make $ size $ flush_every $ fanout)
 
-(* --- simulate --- *)
-
-let require_positive ~cmd pairs =
-  List.iter
-    (fun (name, v) ->
-      if v < 1 then (
-        Fmt.epr "mmc: %s: %s must be >= 1@." cmd name;
-        exit 124))
-    pairs
-
-let simulate kind procs objects ops read_ratio abcast latency seed batch check
-    save =
-  require_positive ~cmd:"simulate"
-    [ ("--procs", procs); ("--objects", objects); ("--ops", ops) ];
-  let spec =
-    { Mmc_workload.Spec.default with n_objects = objects; read_ratio }
+(* --rto / --max-rto / --max-retries: the reliable channel layer's
+   retry budget; [None] when every knob is left at its default so the
+   runner keeps using [Reliable.default_config] internally. *)
+let reliable_term ~cmd =
+  let d = Mmc_sim.Reliable.default_config in
+  let knob name ~docv ~doc =
+    Arg.(value & opt (some int) None & info [ name ] ~docv ~doc)
   in
-  let cfg =
+  let rto =
+    knob "rto" ~docv:"T"
+      ~doc:
+        (Fmt.str
+           "Initial retransmission timeout of the reliable channel layer \
+            used by $(b,%s) (default %d virtual-time units)."
+           cmd d.Mmc_sim.Reliable.rto)
+  in
+  let max_rto =
+    knob "max-rto" ~docv:"T"
+      ~doc:
+        (Fmt.str "Retransmission backoff cap (default %d)."
+           d.Mmc_sim.Reliable.max_rto)
+  in
+  let max_retries =
+    knob "max-retries" ~docv:"N"
+      ~doc:
+        (Fmt.str
+           "Retransmissions per message before the channel gives up; \
+            abandoned messages are reported in the fault counters (default \
+            %d)."
+           d.Mmc_sim.Reliable.max_retries)
+  in
+  let make rto max_rto max_retries =
+    match (rto, max_rto, max_retries) with
+    | None, None, None -> None
+    | _ ->
+      Some
+        {
+          d with
+          Mmc_sim.Reliable.rto = Option.value rto ~default:d.rto;
+          max_rto = Option.value max_rto ~default:d.max_rto;
+          max_retries = Option.value max_retries ~default:d.max_retries;
+        }
+  in
+  Term.(const make $ rto $ max_rto $ max_retries)
+
+(* --heartbeat-every / --suspect-after: failure-detector tuning for the
+   rmsc broadcast; [None] when both knobs are default so the runner
+   keeps using [Detector.default_config] internally. *)
+let detector_term ~cmd =
+  let d = Mmc_sim.Detector.default_config in
+  let heartbeat_every =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "heartbeat-every" ] ~docv:"T"
+          ~doc:
+            (Fmt.str
+               "Failure-detector heartbeat period of the rmsc broadcast \
+                (default %d virtual-time units)."
+               d.Mmc_sim.Detector.heartbeat_every))
+  in
+  let suspect_after =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "suspect-after" ] ~docv:"T"
+          ~doc:
+            (Fmt.str
+               "Suspect a peer after this long without heartbeat evidence \
+                (default %d).  Too close to the latency bound and false \
+                suspicions become routine; the protocol stays safe either \
+                way."
+               d.Mmc_sim.Detector.suspect_after))
+  in
+  let make heartbeat_every suspect_after =
+    match (heartbeat_every, suspect_after) with
+    | None, None -> None
+    | _ ->
+      let c =
+        {
+          Mmc_sim.Detector.heartbeat_every =
+            Option.value heartbeat_every ~default:d.heartbeat_every;
+          suspect_after = Option.value suspect_after ~default:d.suspect_after;
+        }
+      in
+      (try Mmc_sim.Detector.validate_config c
+       with Invalid_argument msg -> cli_error ~cmd "%s" msg);
+      Some c
+  in
+  Term.(const make $ heartbeat_every $ suspect_after)
+
+let delivery_arg =
+  Arg.(
+    value
+    & opt delivery_conv Rstore.Stable
+    & info [ "delivery" ] ~docv:"MODE"
+        ~doc:
+          "Delivery rule of the rmsc store: $(b,stable) applies an update \
+           only once a majority quorum acknowledged its stamp (the \
+           default); $(b,optimistic) applies on first delivery and can \
+           expose the epoch-change divergence anomaly.")
+
+(* Storage-integrity knobs of the rmsc store's durable layer. *)
+
+let scrub_arg =
+  Arg.(
+    value
+    & opt scrub_conv Rlog.default_policy.scrub_every
+    & info [ "scrub" ] ~docv:"T"
+        ~doc:
+          (Fmt.str
+             "Background CRC scrub pass period in virtual time, or $(b,off) \
+              to disable scrubbing (default %d).  Scrubbing finds bit-rot \
+              before the data is needed and repairs it from peers."
+             Rlog.default_policy.scrub_every))
+
+let crc_arg =
+  Arg.(
+    value & opt crc_conv true
+    & info [ "crc" ] ~docv:"on|off"
+        ~doc:
+          "Storage integrity checking: $(b,on) (default) detects, \
+           quarantines and repairs damaged frames; $(b,off) trusts the \
+           medium, so injected corruption silently becomes holes — expect \
+           the oracles to catch the resulting divergence.")
+
+(* What a store-running subcommand gets from the shared flags. *)
+type run = {
+  cfg : Runner.config;
+  spec : Mmc_workload.Spec.t;  (** workload over [cfg]'s objects *)
+  seed : int;
+}
+
+let all_stores_doc =
+  "Store protocol: msc, rmsc, seg, mlin, central, local, causal, lock or aw."
+
+(* [run_term ~cmd ~objects ()] parses the shared run flags of
+   subcommand [cmd] and validates them once.  Every such command takes
+   --procs, --objects (default [objects]), --abcast, --latency, --seed
+   and the batch trio; the optional arguments pick the other flag
+   groups, and their defaults, that the command accepts:
+   - [store]: [`Flag doc] for --store, or [`Fixed kind];
+   - [ops]: --ops with this default (absent: the runner's default);
+   - [read_ratio]: --read-ratio;  [fastpath]: --fastpath;
+   - [plan]: --plan with this default, its doc ending in the note;
+   - [reliable]: --rto, --max-rto, --max-retries;
+   - [rstore]: --delivery, --heartbeat-every, --suspect-after,
+     --scrub, --crc;  [checkpoint]: --checkpoint-every.
+   An absent flag leaves its [Runner.default_config] value. *)
+let run_term ~cmd ?(store = `Flag all_stores_doc) ~objects ?ops
+    ?(read_ratio = false) ?(fastpath = false) ?plan ?(reliable = false)
+    ?(rstore = false) ?(checkpoint = false) () =
+  let d = Runner.default_config in
+  let group on term default = if on then term else Term.const default in
+  let kind =
+    match store with
+    | `Fixed k -> Term.const k
+    | `Flag doc ->
+      Arg.(
+        value
+        & opt store_kind_conv d.kind
+        & info [ "store" ] ~docv:"STORE" ~doc)
+  in
+  let procs =
+    Arg.(
+      value & opt int d.n_procs
+      & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
+  in
+  let objects =
+    Arg.(
+      value & opt int objects
+      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
+  in
+  let ops =
+    match ops with
+    | None -> Term.const d.ops_per_proc
+    | Some n ->
+      Arg.(
+        value & opt int n
+        & info [ "ops" ] ~docv:"N" ~doc:"m-operations per process.")
+  in
+  let read_ratio =
+    group read_ratio
+      Arg.(
+        value
+        & opt float Mmc_workload.Spec.default.read_ratio
+        & info [ "read-ratio" ] ~docv:"R" ~doc:"Query fraction.")
+      Mmc_workload.Spec.default.read_ratio
+  in
+  let abcast =
+    Arg.(
+      value
+      & opt abcast_conv d.abcast_impl
+      & info [ "abcast" ] ~docv:"IMPL"
+          ~doc:"Atomic broadcast: sequencer or lamport.")
+  in
+  let latency =
+    Arg.(
+      value
+      & opt latency_conv d.latency
+      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
+  in
+  let plan =
+    match plan with
+    | None -> Term.const d.fault
+    | Some (default, note) ->
+      Arg.(
+        value
+        & opt fault_plan_conv default
+        & info [ "plan" ] ~docv:"PLAN"
+            ~doc:(Fmt.str "Fault plan: %s.  %s" fault_plan_usage note))
+  in
+  let checkpoint_every =
+    group checkpoint
+      Arg.(
+        value
+        & opt int d.recovery.checkpoint_every
+        & info [ "checkpoint-every" ] ~docv:"N"
+            ~doc:"Take a replica snapshot every $(docv) applied positions.")
+      d.recovery.checkpoint_every
+  in
+  let make kind procs objects ops read_ratio abcast latency seed batch fastpath
+      plan reliable delivery detector checkpoint_every scrub_every crc =
+    require_positive ~cmd
+      [
+        ("--procs", procs);
+        ("--objects", objects);
+        ("--ops", ops);
+        ("--checkpoint-every", checkpoint_every);
+      ];
+    require_ratio ~cmd [ ("--read-ratio", read_ratio) ];
+    (* the converter validates the plan in isolation; node ids can
+       only be range-checked against --procs here *)
+    (try Fault.validate ~n:procs plan
+     with Invalid_argument msg -> cli_error ~cmd "%s" msg);
     {
-      Mmc_store.Runner.default_config with
-      n_procs = procs;
-      n_objects = objects;
-      ops_per_proc = ops;
-      kind;
-      abcast_impl = abcast;
-      latency;
-      batch;
+      cfg =
+        {
+          d with
+          n_procs = procs;
+          n_objects = objects;
+          ops_per_proc = ops;
+          kind;
+          abcast_impl = abcast;
+          latency;
+          fault = plan;
+          reliable;
+          recovery = { d.recovery with checkpoint_every; scrub_every; crc };
+          delivery;
+          detector;
+          batch;
+          fastpath;
+        };
+      spec = { Mmc_workload.Spec.default with n_objects = objects; read_ratio };
+      seed;
     }
   in
-  let res =
-    Mmc_store.Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
+  Term.(
+    const make $ kind $ procs $ objects $ ops $ read_ratio $ abcast $ latency
+    $ seed $ batch_term ~cmd
+    $ group fastpath fastpath_term d.fastpath
+    $ plan
+    $ group reliable (reliable_term ~cmd) d.reliable
+    $ group rstore delivery_arg d.delivery
+    $ group rstore (detector_term ~cmd) d.detector
+    $ checkpoint_every
+    $ group rstore scrub_arg d.recovery.scrub_every
+    $ group rstore crc_arg d.recovery.crc)
+
+(* --- shared report helpers --- *)
+
+let save_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
+
+(* --save: write [h] in the text format and say so. *)
+let save_history ?(label = "history saved  ") save h =
+  Option.iter
+    (fun path ->
+      Codec.to_file h path;
+      Fmt.pr "%s %s@." label path)
+    save
+
+(* The fault injector's counter block: [faults] prints every counter,
+   [recover] the short form with the restart count. *)
+let print_fault_counts ~long = function
+  | None -> Fmt.pr "faults          none injected (empty plan)@."
+  | Some f ->
+    let c = Fault.counts f in
+    Fmt.pr "dropped         %d (loss %d, partition %d, crashed %d)@."
+      (Fault.dropped f) c.Fault.loss c.Fault.partitioned c.Fault.crashed;
+    if long then Fmt.pr "spikes          %d@." c.Fault.spikes;
+    Fmt.pr "retransmits     %d (given up %d)@." c.Fault.retransmissions
+      c.Fault.abandoned;
+    if long then begin
+      Fmt.pr "acks            %d@." c.Fault.acks;
+      Fmt.pr "dups suppressed %d@." c.Fault.duplicates;
+      Fmt.pr "delivery delay  %a@." Stats.pp_summary (Fault.delivery_delay f);
+      Fmt.pr "recovery time   %d@." (Fault.recovery_time f)
+    end
+    else Fmt.pr "restarts        %d@." c.Fault.restarts
+
+(* The same counters on one line ([shard], [chaos --verbose]). *)
+let pp_fault_brief ppf f =
+  let c = Fault.counts f in
+  Fmt.pf ppf "dropped %d, retransmits %d (given up %d)" (Fault.dropped f)
+    c.Fault.retransmissions c.Fault.abandoned
+
+(* [log_sum h f] sums field [f] of the rmsc replicas' WAL counters. *)
+let log_sum (h : Rstore.handle) =
+  let logs = h.Rstore.log_stats () in
+  fun f -> Array.fold_left (fun acc s -> acc + f s) 0 logs
+
+(* The Theorem-7 verdict line of a run's trace under [flavour]
+   ([label] names it; default the flavour's name); [true] on PASS. *)
+let theorem7_verdict ?label res ~flavour =
+  let label =
+    Option.value label ~default:(Fmt.str "%a" History.pp_flavour flavour)
   in
-  Fmt.pr "store           %a@." Mmc_store.Store.pp_kind kind;
-  Fmt.pr "processes       %d@." procs;
-  Fmt.pr "completed ops   %d@." res.Mmc_store.Runner.completed;
-  Fmt.pr "virtual time    %d@." res.Mmc_store.Runner.duration;
-  Fmt.pr "messages        %d@." res.Mmc_store.Runner.messages;
-  Fmt.pr "engine events   %d@." res.Mmc_store.Runner.events;
-  Fmt.pr "query latency   %a@." Mmc_sim.Stats.pp_summary
-    res.Mmc_store.Runner.query_latency;
-  Fmt.pr "update latency  %a@." Mmc_sim.Stats.pp_summary
-    res.Mmc_store.Runner.update_latency;
-  let h = res.Mmc_store.Runner.history in
-  (match save with
-  | Some path ->
-    Codec.to_file h path;
-    Fmt.pr "history saved   %s@." path
-  | None -> ());
+  match Runner.check_trace res ~flavour with
+  | Check_constrained.Admissible _ ->
+    Fmt.pr "check           %s (Theorem 7, WW): PASS@." label;
+    true
+  | r ->
+    Fmt.pr "check           %s (Theorem 7, WW): FAIL (%a)@." label
+      Check_constrained.pp_result r;
+    false
+
+let pp_detector_stats ppf (s : Mmc_sim.Detector.stats) =
+  Fmt.pf ppf
+    "%d beats (%d delivered), %d suspicions (%d false), %d refuted, %d doubts"
+    s.Mmc_sim.Detector.beats_sent s.Mmc_sim.Detector.beats_delivered
+    s.Mmc_sim.Detector.suspicions s.Mmc_sim.Detector.false_suspicions
+    s.Mmc_sim.Detector.refutations s.Mmc_sim.Detector.doubts
+
+let json_summary_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Append a one-line JSON summary object to stdout (the greppable \
+           text summary line stays).")
+
+(* --- simulate --- *)
+
+let simulate { cfg; spec; seed } check save =
+  let res = Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec) in
+  Fmt.pr "store           %a@." Store.pp_kind cfg.kind;
+  Fmt.pr "processes       %d@." cfg.n_procs;
+  Fmt.pr "completed ops   %d@." res.Runner.completed;
+  Fmt.pr "virtual time    %d@." res.Runner.duration;
+  Fmt.pr "messages        %d@." res.Runner.messages;
+  Fmt.pr "engine events   %d@." res.Runner.events;
+  Fmt.pr "query latency   %a@." Stats.pp_summary res.Runner.query_latency;
+  Fmt.pr "update latency  %a@." Stats.pp_summary res.Runner.update_latency;
+  let h = res.Runner.history in
+  save_history save h;
   if check then begin
-    match kind with
-    | Mmc_store.Store.Causal -> (
+    match cfg.kind with
+    | Store.Causal -> (
       match Check_causal.check ~max_states:10_000_000 h with
       | Check_causal.Causal _ -> Fmt.pr "check           causal: PASS@."
       | Check_causal.Not_causal p -> Fmt.pr "check           causal: FAIL (P%d)@." p
       | Check_causal.Aborted -> Fmt.pr "check           causal: budget exhausted@.")
     | kind -> (
-      let flavour =
-        match kind with
-        | Mmc_store.Store.Msc | Mmc_store.Store.Local | Mmc_store.Store.Rmsc
-        | Mmc_store.Store.Seg ->
-          History.Msc
-        | Mmc_store.Store.Mlin | Mmc_store.Store.Central
-        | Mmc_store.Store.Causal | Mmc_store.Store.Lock | Mmc_store.Store.Aw ->
-          History.Mlin
-      in
+      let flavour = Store.flavour kind in
       match Admissible.check ~max_states:10_000_000 h flavour with
       | Admissible.Admissible _ ->
         Fmt.pr "check           %a: PASS@." History.pp_flavour flavour
@@ -200,58 +698,16 @@ let simulate kind procs objects ops read_ratio abcast latency seed batch check
   0
 
 let simulate_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt store_kind_conv Mmc_store.Store.Msc
-      & info [ "store" ] ~docv:"STORE"
-          ~doc:"Store protocol: msc, rmsc, seg, mlin, central, local, causal, lock or aw.")
-  in
-  let procs =
-    Arg.(value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
-  in
-  let objects =
-    Arg.(
-      value & opt int 8
-      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 30
-      & info [ "ops" ] ~docv:"N" ~doc:"m-operations per process.")
-  in
-  let read_ratio =
-    Arg.(
-      value & opt float 0.5
-      & info [ "read-ratio" ] ~docv:"R" ~doc:"Query fraction.")
-  in
-  let abcast =
-    Arg.(
-      value
-      & opt abcast_conv Mmc_broadcast.Abcast.Sequencer_impl
-      & info [ "abcast" ] ~docv:"IMPL"
-          ~doc:"Atomic broadcast: sequencer or lamport.")
-  in
-  let latency =
-    Arg.(
-      value
-      & opt latency_conv (Mmc_sim.Latency.Uniform (5, 15))
-      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
-  in
   let check =
     Arg.(value & flag & info [ "check" ] ~doc:"Check the trace after the run.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Save the history in the text format.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a protocol simulation")
     Term.(
-      const simulate $ kind $ procs $ objects $ ops $ read_ratio $ abcast
-      $ latency $ seed $ batch_term $ check $ save)
+      const simulate
+      $ run_term ~cmd:"simulate" ~objects:8 ~ops:30 ~read_ratio:true ()
+      $ check
+      $ save_arg ~doc:"Save the history in the text format.")
 
 (* --- check --- *)
 
@@ -577,29 +1033,28 @@ let generate_cmd =
     Term.(
       const generate $ family $ procs $ objects $ mops $ seed $ out $ stream)
 
+
 (* --- soak --- *)
 
 let pp_soak_verdict ppf = function
-  | Mmc_stream.Window_check.Pass -> Fmt.string ppf "PASS"
-  | Mmc_stream.Window_check.Fail { prefix; reason } ->
+  | Window_check.Pass -> Fmt.string ppf "PASS"
+  | Window_check.Fail { prefix; reason } ->
     Fmt.pf ppf "FAIL (first %d m-operations: %s)" prefix reason
-  | Mmc_stream.Window_check.Inconclusive reason ->
-    Fmt.pf ppf "INCONCLUSIVE (%s)" reason
+  | Window_check.Inconclusive reason -> Fmt.pf ppf "INCONCLUSIVE (%s)" reason
 
 let soak_verdict_word = function
-  | Mmc_stream.Window_check.Pass -> "PASS"
-  | Mmc_stream.Window_check.Fail _ -> "FAIL"
-  | Mmc_stream.Window_check.Inconclusive _ -> "INCONCLUSIVE"
+  | Window_check.Pass -> "PASS"
+  | Window_check.Fail _ -> "FAIL"
+  | Window_check.Inconclusive _ -> "INCONCLUSIVE"
 
 let soak_exit_code = function
-  | Mmc_stream.Window_check.Pass -> 0
-  | Mmc_stream.Window_check.Fail _ -> 1
-  | Mmc_stream.Window_check.Inconclusive _ -> 2
+  | Window_check.Pass -> 0
+  | Window_check.Fail _ -> 1
+  | Window_check.Inconclusive _ -> 2
 
 (* One greppable line with everything a dashboard scrape needs. *)
 let soak_summary_line ~store ~procs ~objects ~window ~completed ~duration
-    ~(latency : Mmc_sim.Stats.quantiles) (wc : Mmc_stream.Window_check.metrics)
-    verdict =
+    ~(latency : Stats.quantiles) (wc : Window_check.metrics) verdict =
   let thr =
     if duration > 0 then 1000.0 *. float_of_int completed /. float_of_int duration
     else 0.0
@@ -608,66 +1063,33 @@ let soak_summary_line ~store ~procs ~objects ~window ~completed ~duration
     "soak summary store=%s procs=%d objects=%d ops=%d duration=%d thr=%.1f \
      p50=%.1f p99=%.1f p999=%.1f window=%d max_live=%d retired=%d checks=%d \
      resident_w=%d max_resident_w=%d recycled_w=%d verdict=%s@."
-    store procs objects completed duration thr latency.Mmc_sim.Stats.q50
-    latency.Mmc_sim.Stats.q99 latency.Mmc_sim.Stats.q999 window
-    wc.Mmc_stream.Window_check.max_live wc.Mmc_stream.Window_check.retired
-    wc.Mmc_stream.Window_check.checks
-    wc.Mmc_stream.Window_check.resident_words
-    wc.Mmc_stream.Window_check.max_resident_words
-    wc.Mmc_stream.Window_check.recycled_words
-    (soak_verdict_word verdict)
+    store procs objects completed duration thr latency.q50 latency.q99
+    latency.q999 window wc.max_live wc.retired wc.checks wc.resident_words
+    wc.max_resident_words wc.recycled_words (soak_verdict_word verdict)
 
-let soak kind shards procs objects rate ops duration window settle sample_every
-    corrupt json verify_full read_ratio abcast latency seed batch fastpath =
+let soak { cfg = rcfg; spec; seed } shards rate ops duration window settle
+    sample_every corrupt json verify_full =
+  let procs = rcfg.n_procs and objects = rcfg.n_objects in
   require_positive ~cmd:"soak"
-    [
-      ("--procs", procs);
-      ("--objects", objects);
-      ("--rate", rate);
-      ("--window", window);
-      ("--shards", shards);
-    ];
-  if ops <= 0 && duration = None then begin
-    Fmt.epr "mmc: soak: need --ops and/or --duration@.";
-    exit 124
-  end;
-  (match kind with
-  | Mmc_store.Store.Msc | Mmc_store.Store.Mlin | Mmc_store.Store.Rmsc
-  | Mmc_store.Store.Seg ->
-    ()
+    [ ("--rate", rate); ("--window", window); ("--shards", shards) ];
+  if ops <= 0 && duration = None then
+    cli_error ~cmd:"soak" "need --ops and/or --duration";
+  (match rcfg.kind with
+  | Store.Msc | Store.Mlin | Store.Rmsc | Store.Seg -> ()
   | k ->
-    Fmt.epr
-      "mmc: soak: store %a has no synchronization order (use msc, mlin, rmsc \
-       or seg)@."
-      Mmc_store.Store.pp_kind k;
-    exit 124);
-  let spec =
-    { Mmc_workload.Spec.default with n_objects = objects; read_ratio }
-  in
-  let rcfg =
-    {
-      Mmc_store.Runner.default_config with
-      n_procs = procs;
-      n_objects = objects;
-      kind;
-      abcast_impl = abcast;
-      latency;
-      batch;
-      fastpath;
-    }
-  in
-  let store_name = Fmt.str "%a" Mmc_store.Store.pp_kind kind in
+    cli_error ~cmd:"soak"
+      "store %a has no synchronization order (use msc, mlin, rmsc or seg)"
+      Store.pp_kind k);
+  let store_name = Fmt.str "%a" Store.pp_kind rcfg.kind in
   if shards > 1 then begin
     (* Sharded soak: closed-loop generation (the open loop drives one
        store), then each shard's trace streams through its own
        windowed checker over a shared arena; the global stitched
        condition stays an offline check (DESIGN.md §14). *)
-    if corrupt <> None || verify_full || json then begin
-      Fmt.epr
-        "mmc: soak: --corrupt/--verify-full/--json apply to the single-store \
-         soak (--shards 1)@.";
-      exit 124
-    end;
+    if corrupt <> None || verify_full || json then
+      cli_error ~cmd:"soak"
+        "--corrupt/--verify-full/--json apply to the single-store soak \
+         (--shards 1)";
     let total = if ops > 0 then ops else 10_000 in
     let rcfg =
       { rcfg with ops_per_proc = max 1 ((total + procs - 1) / procs) }
@@ -675,44 +1097,47 @@ let soak kind shards procs objects rate ops duration window settle sample_every
     let placement =
       Mmc_shard.Placement.hash ~n_shards:shards ~n_objects:objects
     in
+    (* every shard's windowed checker needs an object to check *)
+    for s = 0 to shards - 1 do
+      if Mmc_shard.Placement.size placement s = 0 then
+        cli_error ~cmd:"soak"
+          "--shards %d over --objects %d leaves shard %d without objects"
+          shards objects s
+    done;
     let res =
       Mmc_shard.Shard_runner.run ~seed ~placement rcfg
         ~workload:(Mmc_workload.Generator.sharded placement spec)
     in
-    let flavour = Mmc_stream.Soak.flavour_of_kind kind in
     let verdicts, ms =
-      Mmc_stream.Soak.verify_sharded ~window ~settle ~flavour res
+      Soak.verify_sharded ~window ~settle ~flavour:(Store.flavour rcfg.kind)
+        res
     in
     let verdict =
       Array.fold_left
-        (fun acc v ->
-          match acc with Mmc_stream.Window_check.Pass -> v | _ -> acc)
-        Mmc_stream.Window_check.Pass verdicts
+        (fun acc v -> match acc with Window_check.Pass -> v | _ -> acc)
+        Window_check.Pass verdicts
     in
     let wc =
-      List.fold_left
-        (fun (acc : Mmc_stream.Window_check.metrics)
-             (m : Mmc_stream.Window_check.metrics) ->
-          {
-            acc with
-            Mmc_stream.Window_check.fed = acc.Mmc_stream.Window_check.fed + m.Mmc_stream.Window_check.fed;
-            retired = acc.Mmc_stream.Window_check.retired + m.Mmc_stream.Window_check.retired;
-            checks = acc.Mmc_stream.Window_check.checks + m.Mmc_stream.Window_check.checks;
-            max_live = max acc.Mmc_stream.Window_check.max_live m.Mmc_stream.Window_check.max_live;
-            resident_words = acc.Mmc_stream.Window_check.resident_words + m.Mmc_stream.Window_check.resident_words;
-            (* summed, not maxed: the shards' checkers are resident
-               together, so the peak-per-shard sum bounds the total *)
-            max_resident_words =
-              acc.Mmc_stream.Window_check.max_resident_words + m.Mmc_stream.Window_check.max_resident_words;
-            recycled_words = acc.Mmc_stream.Window_check.recycled_words + m.Mmc_stream.Window_check.recycled_words;
-          })
-        (match ms with m :: _ -> { m with Mmc_stream.Window_check.fed = 0; retired = 0; checks = 0; max_live = 0; resident_words = 0; max_resident_words = 0; recycled_words = 0 } | [] -> assert false)
-        ms
+      let add (acc : Window_check.metrics) (m : Window_check.metrics) =
+        {
+          acc with
+          fed = acc.fed + m.fed;
+          retired = acc.retired + m.retired;
+          checks = acc.checks + m.checks;
+          max_live = max acc.max_live m.max_live;
+          resident_words = acc.resident_words + m.resident_words;
+          (* summed, not maxed: the shards' checkers are resident
+             together, so the peak-per-shard sum bounds the total *)
+          max_resident_words = acc.max_resident_words + m.max_resident_words;
+          recycled_words = acc.recycled_words + m.recycled_words;
+        }
+      in
+      match ms with m :: rest -> List.fold_left add m rest | [] -> assert false
     in
     Fmt.pr "store            %s (%d shards)@." store_name shards;
-    Fmt.pr "completed ops    %d@." res.Mmc_shard.Shard_runner.completed;
-    Fmt.pr "virtual time     %d@." res.Mmc_shard.Shard_runner.duration;
-    Fmt.pr "messages         %d@." res.Mmc_shard.Shard_runner.messages;
+    Fmt.pr "completed ops    %d@." res.completed;
+    Fmt.pr "virtual time     %d@." res.duration;
+    Fmt.pr "messages         %d@." res.messages;
     Array.iteri
       (fun s v -> Fmt.pr "shard %-2d         %a@." s pp_soak_verdict v)
       verdicts;
@@ -721,25 +1146,24 @@ let soak kind shards procs objects rate ops duration window settle sample_every
          is the informative one (msc queries are local, latency 0).
          The summary record has no p999 — at a few hundred updates the
          max is that tail. *)
-      let s = res.Mmc_shard.Shard_runner.update_latency in
+      let s = res.update_latency in
       {
-        Mmc_sim.Stats.q_count = s.Mmc_sim.Stats.count;
-        q50 = float_of_int s.Mmc_sim.Stats.p50;
-        q99 = float_of_int s.Mmc_sim.Stats.p99;
-        q999 = float_of_int s.Mmc_sim.Stats.max;
+        Stats.q_count = s.Stats.count;
+        q50 = float_of_int s.Stats.p50;
+        q99 = float_of_int s.Stats.p99;
+        q999 = float_of_int s.Stats.max;
       }
     in
     soak_summary_line
       ~store:(Fmt.str "sharded-%s:%d" store_name shards)
-      ~procs ~objects ~window
-      ~completed:res.Mmc_shard.Shard_runner.completed
-      ~duration:res.Mmc_shard.Shard_runner.duration ~latency:q wc verdict;
+      ~procs ~objects ~window ~completed:res.completed
+      ~duration:res.duration ~latency:q wc verdict;
     soak_exit_code verdict
   end
   else begin
     let cfg =
       {
-        Mmc_stream.Soak.runner = rcfg;
+        Soak.runner = rcfg;
         rate;
         max_ops = ops;
         max_time = duration;
@@ -751,130 +1175,85 @@ let soak kind shards procs objects rate ops duration window settle sample_every
         verify_full;
       }
     in
-    let on_sample (s : Mmc_stream.Soak.sample) =
+    let on_sample (s : Soak.sample) =
       if json then
-        let q = s.Mmc_stream.Soak.s_interval in
-        let m = s.Mmc_stream.Soak.s_wc in
+        let q = s.s_interval and m = s.s_wc in
         Fmt.pr
           "{\"t\":%d,\"completed\":%d,\"queue\":%d,\"n\":%d,\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f,\"live\":%d,\"pending\":%d,\"retired\":%d,\"checks\":%d,\"resident_words\":%d,\"recycled_words\":%d}@."
-          s.Mmc_stream.Soak.s_now s.Mmc_stream.Soak.s_completed
-          s.Mmc_stream.Soak.s_queue q.Mmc_sim.Stats.q_count
-          q.Mmc_sim.Stats.q50 q.Mmc_sim.Stats.q99 q.Mmc_sim.Stats.q999
-          m.Mmc_stream.Window_check.live m.Mmc_stream.Window_check.pending
-          m.Mmc_stream.Window_check.retired m.Mmc_stream.Window_check.checks
-          m.Mmc_stream.Window_check.resident_words
-          m.Mmc_stream.Window_check.recycled_words
+          s.s_now s.s_completed s.s_queue q.q_count q.q50 q.q99 q.q999 m.live
+          m.pending m.retired m.checks m.resident_words m.recycled_words
     in
     match
-      Mmc_stream.Soak.run ~on_sample ~seed
-        ~workload:(Mmc_workload.Generator.mixed spec) cfg
+      Soak.run ~on_sample ~seed ~workload:(Mmc_workload.Generator.mixed spec)
+        cfg
     with
-    | exception Invalid_argument msg ->
-      Fmt.epr "mmc: soak: %s@." msg;
-      exit 124
-    | r ->
-      if not json then begin
+    | exception Invalid_argument msg -> cli_error ~cmd:"soak" "%s" msg
+    | (r : Soak.result) ->
+      let m = r.wc in
+      if json then begin
+        (* Keep stdout pure NDJSON: the run ends with one summary
+           object instead of the human report. *)
+        let q = r.latency in
+        Fmt.pr
+          "{\"summary\":true,\"store\":\"%s\",\"ops\":%d,\"duration\":%d,\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f,\"max_queue\":%d,\"max_live\":%d,\"retired\":%d,\"checks\":%d,\"resident_words\":%d,\"max_resident_words\":%d,\"recycled_words\":%d,\"verdict\":\"%s\"}@."
+          store_name r.completed r.duration q.q50 q.q99 q.q999 r.max_queue
+          m.max_live m.retired m.checks m.resident_words m.max_resident_words
+          m.recycled_words
+          (soak_verdict_word r.verdict)
+      end
+      else begin
         Fmt.pr "store            %s@." store_name;
-        Fmt.pr "arrived ops      %d@." r.Mmc_stream.Soak.arrived;
-        Fmt.pr "completed ops    %d@." r.Mmc_stream.Soak.completed;
-        Fmt.pr "virtual time     %d@." r.Mmc_stream.Soak.duration;
-        Fmt.pr "messages         %d@." r.Mmc_stream.Soak.messages;
-        Fmt.pr "engine events    %d@." r.Mmc_stream.Soak.events;
-        Fmt.pr "latency          %a@." Mmc_sim.Stats.pp_quantiles
-          r.Mmc_stream.Soak.latency;
-        Fmt.pr "query latency    %a@." Mmc_sim.Stats.pp_quantiles
-          r.Mmc_stream.Soak.query_latency;
-        Fmt.pr "update latency   %a@." Mmc_sim.Stats.pp_quantiles
-          r.Mmc_stream.Soak.update_latency;
-        Fmt.pr "max queue        %d@." r.Mmc_stream.Soak.max_queue;
-        let m = r.Mmc_stream.Soak.wc in
-        Fmt.pr "window occupancy %d live (max %d), %d pending@."
-          m.Mmc_stream.Window_check.live m.Mmc_stream.Window_check.max_live
-          m.Mmc_stream.Window_check.pending;
-        Fmt.pr "retired prefix   %d of %d fed (%d epoch checks)@."
-          m.Mmc_stream.Window_check.retired m.Mmc_stream.Window_check.fed
-          m.Mmc_stream.Window_check.checks;
+        Fmt.pr "arrived ops      %d@." r.arrived;
+        Fmt.pr "completed ops    %d@." r.completed;
+        Fmt.pr "virtual time     %d@." r.duration;
+        Fmt.pr "messages         %d@." r.messages;
+        Fmt.pr "engine events    %d@." r.events;
+        Fmt.pr "latency          %a@." Stats.pp_quantiles r.latency;
+        Fmt.pr "query latency    %a@." Stats.pp_quantiles r.query_latency;
+        Fmt.pr "update latency   %a@." Stats.pp_quantiles r.update_latency;
+        Fmt.pr "max queue        %d@." r.max_queue;
+        Fmt.pr "window occupancy %d live (max %d), %d pending@." m.live
+          m.max_live m.pending;
+        Fmt.pr "retired prefix   %d of %d fed (%d epoch checks)@." m.retired
+          m.fed m.checks;
         Fmt.pr "relation words   %d resident (max %d), %d recycled@."
-          m.Mmc_stream.Window_check.resident_words
-          m.Mmc_stream.Window_check.max_resident_words
-          m.Mmc_stream.Window_check.recycled_words
+          m.resident_words m.max_resident_words m.recycled_words;
+        (match r.full_verdict with
+        | Some fv ->
+          Fmt.pr "full-trace check %s (%s)@." fv
+            (match r.agreement with
+            | Some true -> "windowed verdict agrees"
+            | Some false -> "WINDOWED VERDICT DISAGREES"
+            | None -> "no windowed verdict to compare")
+        | None -> ());
+        Fmt.pr "verdict          %a@." pp_soak_verdict r.verdict;
+        soak_summary_line ~store:store_name ~procs ~objects ~window
+          ~completed:r.completed ~duration:r.duration ~latency:r.latency m
+          r.verdict
       end;
-      (if json then
-         (* Keep stdout pure NDJSON: the run ends with one summary
-            object instead of the human verdict + summary lines. *)
-         let m = r.Mmc_stream.Soak.wc in
-         let q = r.Mmc_stream.Soak.latency in
-         Fmt.pr
-           "{\"summary\":true,\"store\":\"%s\",\"ops\":%d,\"duration\":%d,\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f,\"max_queue\":%d,\"max_live\":%d,\"retired\":%d,\"checks\":%d,\"resident_words\":%d,\"max_resident_words\":%d,\"recycled_words\":%d,\"verdict\":\"%s\"}@."
-           store_name r.Mmc_stream.Soak.completed r.Mmc_stream.Soak.duration
-           q.Mmc_sim.Stats.q50 q.Mmc_sim.Stats.q99 q.Mmc_sim.Stats.q999
-           r.Mmc_stream.Soak.max_queue m.Mmc_stream.Window_check.max_live
-           m.Mmc_stream.Window_check.retired m.Mmc_stream.Window_check.checks
-           m.Mmc_stream.Window_check.resident_words
-           m.Mmc_stream.Window_check.max_resident_words
-           m.Mmc_stream.Window_check.recycled_words
-           (soak_verdict_word r.Mmc_stream.Soak.verdict)
-       else begin
-         (match r.Mmc_stream.Soak.full_verdict with
-         | Some fv ->
-           Fmt.pr "full-trace check %s (%s)@." fv
-             (match r.Mmc_stream.Soak.agreement with
-             | Some true -> "windowed verdict agrees"
-             | Some false -> "WINDOWED VERDICT DISAGREES"
-             | None -> "no windowed verdict to compare")
-         | None -> ());
-         Fmt.pr "verdict          %a@." pp_soak_verdict
-           r.Mmc_stream.Soak.verdict;
-         soak_summary_line ~store:store_name ~procs ~objects ~window
-           ~completed:r.Mmc_stream.Soak.completed
-           ~duration:r.Mmc_stream.Soak.duration
-           ~latency:r.Mmc_stream.Soak.latency r.Mmc_stream.Soak.wc
-           r.Mmc_stream.Soak.verdict
-       end);
-      if r.Mmc_stream.Soak.agreement = Some false then 3
-      else soak_exit_code r.Mmc_stream.Soak.verdict
+      if r.agreement = Some false then 3 else soak_exit_code r.verdict
   end
 
 let soak_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt store_kind_conv Mmc_store.Store.Msc
-      & info [ "store" ] ~docv:"STORE"
-          ~doc:"Store protocol: msc, mlin, rmsc or seg (broadcast-based).")
+  let int_arg name ~docv ~doc default =
+    Arg.(value & opt int default & info [ name ] ~docv ~doc)
   in
   let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard count; above 1 the run is generated closed-loop through \
-             the sharded store and each shard's trace streams through its \
-             own windowed checker.")
-  in
-  let procs =
-    Arg.(
-      value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Client pool size.")
-  in
-  let objects =
-    Arg.(
-      value & opt int 16
-      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
+    int_arg "shards" ~docv:"N" 1
+      ~doc:
+        "Shard count; above 1 the run is generated closed-loop through the \
+         sharded store and each shard's trace streams through its own \
+         windowed checker."
   in
   let rate =
-    Arg.(
-      value & opt int 8
-      & info [ "rate" ] ~docv:"IAT"
-          ~doc:
-            "Mean inter-arrival time in virtual ticks (open-loop: arrivals \
-             are independent of service latency and queue for an idle \
-             client).")
+    int_arg "rate" ~docv:"IAT" 8
+      ~doc:
+        "Mean inter-arrival time in virtual ticks (open-loop: arrivals are \
+         independent of service latency and queue for an idle client)."
   in
   let ops =
-    Arg.(
-      value & opt int 0
-      & info [ "ops" ] ~docv:"N"
-          ~doc:"Stop after $(docv) arrivals (0 = by --duration only).")
+    int_arg "ops" ~docv:"N" 0
+      ~doc:"Stop after $(docv) arrivals (0 = by --duration only)."
   in
   let duration =
     Arg.(
@@ -884,28 +1263,20 @@ let soak_cmd =
           ~doc:"Stop arrivals at virtual time $(docv).")
   in
   let window =
-    Arg.(
-      value
-      & opt int Mmc_stream.Window_check.default_window
-      & info [ "window" ] ~docv:"W"
-          ~doc:"Live m-operations that trigger an epoch check.")
+    int_arg "window" ~docv:"W" Window_check.default_window
+      ~doc:"Live m-operations that trigger an epoch check."
   in
   let settle =
-    Arg.(
-      value
-      & opt int Mmc_stream.Window_check.default_settle
-      & info [ "settle" ] ~docv:"S"
-          ~doc:
-            "Virtual-time grace after a version is superseded before the \
-             checker assumes no straggler still reads it.")
+    int_arg "settle" ~docv:"S" Window_check.default_settle
+      ~doc:
+        "Virtual-time grace after a version is superseded before the \
+         checker assumes no straggler still reads it."
   in
   let sample_every =
-    Arg.(
-      value & opt int 0
-      & info [ "sample-every" ] ~docv:"T"
-          ~doc:
-            "Emit an observability sample every $(docv) virtual ticks \
-             (default: off; 2000 with --json).")
+    int_arg "sample-every" ~docv:"T" 0
+      ~doc:
+        "Emit an observability sample every $(docv) virtual ticks (default: \
+         off; 2000 with --json)."
   in
   let corrupt =
     Arg.(
@@ -930,24 +1301,6 @@ let soak_cmd =
             "Also keep the whole trace and cross-check the windowed verdict \
              against the full-trace checker (O(trace) memory).")
   in
-  let read_ratio =
-    Arg.(
-      value & opt float 0.5
-      & info [ "read-ratio" ] ~docv:"R" ~doc:"Query fraction.")
-  in
-  let abcast =
-    Arg.(
-      value
-      & opt abcast_conv Mmc_broadcast.Abcast.Sequencer_impl
-      & info [ "abcast" ] ~docv:"IMPL"
-          ~doc:"Atomic broadcast: sequencer or lamport.")
-  in
-  let latency =
-    Arg.(
-      value
-      & opt latency_conv (Mmc_sim.Latency.Uniform (5, 15))
-      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
-  in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
@@ -955,431 +1308,36 @@ let soak_cmd =
           windowed checker verifies the trace as it streams (exit 0 PASS, 1 \
           FAIL, 2 inconclusive)")
     Term.(
-      const soak $ kind $ shards $ procs $ objects $ rate $ ops $ duration
-      $ window $ settle $ sample_every $ corrupt $ json $ verify_full
-      $ read_ratio $ abcast $ latency $ seed $ batch_term $ fastpath_term)
+      const soak
+      $ run_term ~cmd:"soak"
+          ~store:
+            (`Flag "Store protocol: msc, mlin, rmsc or seg (broadcast-based).")
+          ~objects:16 ~read_ratio:true ~fastpath:true ()
+      $ shards $ rate $ ops $ duration $ window $ settle $ sample_every
+      $ corrupt $ json $ verify_full)
 
 (* --- faults --- *)
 
-let fault_plan_usage =
-  "fields are drop=P, spike=P:DELAY, part=FROM:UNTIL:N1+N2+.., \
-   crash=NODE:AT:BACK, wipe=NODE:AT:BACK, tear=NODE:AT, rot=NODE:AT, \
-   stale=NODE:AT (comma-separated; part/crash/wipe and the storage faults \
-   repeatable)"
-
-let fault_plan_conv =
-  (* "drop=0.2,spike=0.05:40,part=150:400:0,crash=2:60:300" — any subset,
-     comma-separated; part islands use '+'-separated node lists.  Every
-     parse error names the offending token and repeats the field
-     grammar: plans are typed by hand, so a bare [int_of_string]
-     exception is not an acceptable diagnostic. *)
-  let parse s =
-    (* [field] is the whole comma-separated chunk the bad token sits
-       in; quoting both pins the error to its context. *)
-    let bad field what token =
-      failwith
-        (Fmt.str "in fault field %S: expected %s, got %S — %s" field what token
-           fault_plan_usage)
-    in
-    let int_in field what token =
-      match int_of_string_opt token with
-      | Some i -> i
-      | None -> bad field (what ^ " (an integer)") token
-    in
-    let float_in field what token =
-      match float_of_string_opt token with
-      | Some f -> f
-      | None -> bad field (what ^ " (a number)") token
-    in
-    try
-      let plan =
-        List.fold_left
-          (fun plan field ->
-            match String.index_opt field '=' with
-            | None ->
-              failwith
-                (Fmt.str "bad fault field %S (missing '=') — %s" field
-                   fault_plan_usage)
-            | Some i -> (
-              let key = String.sub field 0 i in
-              let v = String.sub field (i + 1) (String.length field - i - 1) in
-              let nodes_of str =
-                String.split_on_char '+' str
-                |> List.map (int_in field "an island node id")
-              in
-              match (key, String.split_on_char ':' v) with
-              | "drop", [ p ] ->
-                { plan with Mmc_sim.Fault.drop = float_in field "a probability" p }
-              | "spike", [ p; d ] ->
-                {
-                  plan with
-                  Mmc_sim.Fault.spike_prob = float_in field "a probability" p;
-                  spike_delay = int_in field "a spike delay" d;
-                }
-              | "part", [ from_; until; island ] ->
-                {
-                  plan with
-                  Mmc_sim.Fault.partitions =
-                    {
-                      Mmc_sim.Fault.from_ = int_in field "a start time" from_;
-                      until = int_in field "an end time" until;
-                      island = nodes_of island;
-                    }
-                    :: plan.Mmc_sim.Fault.partitions;
-                }
-              | ("crash" | "wipe"), [ node; at; back ] ->
-                {
-                  plan with
-                  Mmc_sim.Fault.crashes =
-                    {
-                      Mmc_sim.Fault.node = int_in field "a node id" node;
-                      at = int_in field "a crash time" at;
-                      back = int_in field "a restart time" back;
-                      wipe = key = "wipe";
-                    }
-                    :: plan.Mmc_sim.Fault.crashes;
-                }
-              | ("tear" | "rot" | "stale"), [ node; at ] -> (
-                let f =
-                  {
-                    Mmc_sim.Fault.node = int_in field "a node id" node;
-                    at = int_in field "a fault time" at;
-                  }
-                in
-                match key with
-                | "tear" ->
-                  { plan with Mmc_sim.Fault.tears = f :: plan.Mmc_sim.Fault.tears }
-                | "rot" ->
-                  { plan with Mmc_sim.Fault.rots = f :: plan.Mmc_sim.Fault.rots }
-                | _ ->
-                  {
-                    plan with
-                    Mmc_sim.Fault.stales = f :: plan.Mmc_sim.Fault.stales;
-                  })
-              | ("drop" | "spike" | "part" | "crash" | "wipe" | "tear" | "rot"
-                | "stale"), _ ->
-                failwith
-                  (Fmt.str
-                     "bad fault field %S: wrong number of ':'-separated values \
-                      for %S — %s"
-                     field key fault_plan_usage)
-              | _ ->
-                failwith
-                  (Fmt.str "unknown fault key %S in field %S — %s" key field
-                     fault_plan_usage)))
-          Mmc_sim.Fault.none
-          (String.split_on_char ',' s)
-      in
-      Mmc_sim.Fault.validate plan;
-      Ok plan
-    with
-    | Failure msg -> Error (`Msg msg)
-    | Invalid_argument msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, Mmc_sim.Fault.pp_plan)
-
-(* Retry-budget overrides for the reliable channel layer; [None] when
-   every knob is left at its default so the runner keeps using
-   [Reliable.default_config] internally. *)
-let reliable_overrides rto max_rto max_retries =
-  match (rto, max_rto, max_retries) with
-  | None, None, None -> None
-  | _ ->
-    let d = Mmc_sim.Reliable.default_config in
-    Some
-      {
-        d with
-        Mmc_sim.Reliable.rto = Option.value rto ~default:d.Mmc_sim.Reliable.rto;
-        max_rto = Option.value max_rto ~default:d.Mmc_sim.Reliable.max_rto;
-        max_retries =
-          Option.value max_retries ~default:d.Mmc_sim.Reliable.max_retries;
-      }
-
-let rto_arg cmd =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "rto" ] ~docv:"T"
-        ~doc:
-          (Fmt.str
-             "Initial retransmission timeout of the reliable channel layer \
-              used by $(b,%s) (default %d virtual-time units)."
-             cmd Mmc_sim.Reliable.default_config.Mmc_sim.Reliable.rto))
-
-let max_rto_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-rto" ] ~docv:"T"
-        ~doc:
-          (Fmt.str "Retransmission backoff cap (default %d)."
-             Mmc_sim.Reliable.default_config.Mmc_sim.Reliable.max_rto))
-
-let max_retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:
-          (Fmt.str
-             "Retransmissions per message before the channel gives up; \
-              abandoned messages are reported in the fault counters \
-              (default %d)."
-             Mmc_sim.Reliable.default_config.Mmc_sim.Reliable.max_retries))
-
-(* Failure-detector tuning for the rmsc broadcast; [None] when both
-   knobs are default so the runner keeps using
-   [Detector.default_config] internally. *)
-let detector_overrides ~cmd heartbeat_every suspect_after =
-  match (heartbeat_every, suspect_after) with
-  | None, None -> None
-  | _ ->
-    let d = Mmc_sim.Detector.default_config in
-    let c =
-      {
-        Mmc_sim.Detector.heartbeat_every =
-          Option.value heartbeat_every
-            ~default:d.Mmc_sim.Detector.heartbeat_every;
-        suspect_after =
-          Option.value suspect_after ~default:d.Mmc_sim.Detector.suspect_after;
-      }
-    in
-    (try Mmc_sim.Detector.validate_config c
-     with Invalid_argument msg ->
-       Fmt.epr "mmc: %s: %s@." cmd msg;
-       exit 124);
-    Some c
-
-let heartbeat_every_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "heartbeat-every" ] ~docv:"T"
-        ~doc:
-          (Fmt.str
-             "Failure-detector heartbeat period of the rmsc broadcast \
-              (default %d virtual-time units)."
-             Mmc_sim.Detector.default_config.Mmc_sim.Detector.heartbeat_every))
-
-let suspect_after_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "suspect-after" ] ~docv:"T"
-        ~doc:
-          (Fmt.str
-             "Suspect a peer after this long without heartbeat evidence \
-              (default %d).  Too close to the latency bound and false \
-              suspicions become routine; the protocol stays safe either \
-              way."
-             Mmc_sim.Detector.default_config.Mmc_sim.Detector.suspect_after))
-
-let delivery_conv =
-  let parse s =
-    match Mmc_store.Rstore.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-      Error (`Msg (Fmt.str "unknown delivery mode %S (stable|optimistic)" s))
-  in
-  Arg.conv (parse, Mmc_store.Rstore.pp_mode)
-
-let delivery_arg =
-  Arg.(
-    value
-    & opt delivery_conv Mmc_store.Rstore.Stable
-    & info [ "delivery" ] ~docv:"MODE"
-        ~doc:
-          "Delivery rule of the rmsc store: $(b,stable) applies an update \
-           only once a majority quorum acknowledged its stamp (the \
-           default); $(b,optimistic) applies on first delivery and can \
-           expose the epoch-change divergence anomaly.")
-
-(* Storage-integrity knobs of the rmsc store's durable layer. *)
-
-let scrub_conv =
-  let parse = function
-    | "off" -> Ok 0
-    | s -> (
-      match int_of_string_opt s with
-      | Some i when i > 0 -> Ok i
-      | _ -> Error (`Msg (Fmt.str "expected a positive interval or 'off', got %S" s)))
-  in
-  let pp ppf = function 0 -> Fmt.string ppf "off" | i -> Fmt.int ppf i in
-  Arg.conv (parse, pp)
-
-let scrub_arg =
-  Arg.(
-    value
-    & opt scrub_conv Mmc_recovery.Rlog.default_policy.scrub_every
-    & info [ "scrub" ] ~docv:"T"
-        ~doc:
-          (Fmt.str
-             "Background CRC scrub pass period in virtual time, or $(b,off) \
-              to disable scrubbing (default %d).  Scrubbing finds bit-rot \
-              before the data is needed and repairs it from peers."
-             Mmc_recovery.Rlog.default_policy.scrub_every))
-
-let crc_conv =
-  let parse = function
-    | "on" -> Ok true
-    | "off" -> Ok false
-    | s -> Error (`Msg (Fmt.str "expected 'on' or 'off', got %S" s))
-  in
-  let pp ppf b = Fmt.string ppf (if b then "on" else "off") in
-  Arg.conv (parse, pp)
-
-let crc_arg =
-  Arg.(
-    value & opt crc_conv true
-    & info [ "crc" ] ~docv:"on|off"
-        ~doc:
-          "Storage integrity checking: $(b,on) (default) detects, \
-           quarantines and repairs damaged frames; $(b,off) trusts the \
-           medium, so injected corruption silently becomes holes — expect \
-           the oracles to catch the resulting divergence.")
-
-let json_summary_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "Append a one-line JSON summary object to stdout (the greppable \
-           text summary line stays).")
-
-let pp_detector_stats ppf (s : Mmc_sim.Detector.stats) =
-  Fmt.pf ppf
-    "%d beats (%d delivered), %d suspicions (%d false), %d refuted, %d doubts"
-    s.Mmc_sim.Detector.beats_sent s.Mmc_sim.Detector.beats_delivered
-    s.Mmc_sim.Detector.suspicions s.Mmc_sim.Detector.false_suspicions
-    s.Mmc_sim.Detector.refutations s.Mmc_sim.Detector.doubts
-
-let faults kind procs objects ops abcast latency seed batch fastpath plan rto
-    max_rto max_retries save =
-  (* the converter validates the plan in isolation; node ids can only
-     be range-checked against --procs here *)
-  (try Mmc_sim.Fault.validate ~n:procs plan
-   with Invalid_argument msg ->
-     Fmt.epr "mmc: faults: %s@." msg;
-     exit 124);
-  let spec = { Mmc_workload.Spec.default with n_objects = objects } in
-  let cfg =
-    {
-      Mmc_store.Runner.default_config with
-      n_procs = procs;
-      n_objects = objects;
-      ops_per_proc = ops;
-      kind;
-      abcast_impl = abcast;
-      latency;
-      fault = plan;
-      reliable = reliable_overrides rto max_rto max_retries;
-      batch;
-      fastpath;
-    }
-  in
-  let res =
-    Mmc_store.Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
-  in
-  Fmt.pr "store           %a over %a@." Mmc_store.Store.pp_kind kind
-    Mmc_broadcast.Abcast.pp_impl abcast;
-  Fmt.pr "fault plan      %a@." Mmc_sim.Fault.pp_plan plan;
-  Fmt.pr "completed ops   %d@." res.Mmc_store.Runner.completed;
-  Fmt.pr "virtual time    %d@." res.Mmc_store.Runner.duration;
-  Fmt.pr "messages        %d@." res.Mmc_store.Runner.messages;
-  Fmt.pr "update latency  %a@." Mmc_sim.Stats.pp_summary
-    res.Mmc_store.Runner.update_latency;
-  (match res.Mmc_store.Runner.fault with
-  | None -> Fmt.pr "faults          none injected (empty plan)@."
-  | Some f ->
-    let c = Mmc_sim.Fault.counts f in
-    Fmt.pr "dropped         %d (loss %d, partition %d, crashed %d)@."
-      (Mmc_sim.Fault.dropped f) c.Mmc_sim.Fault.loss c.Mmc_sim.Fault.partitioned
-      c.Mmc_sim.Fault.crashed;
-    Fmt.pr "spikes          %d@." c.Mmc_sim.Fault.spikes;
-    Fmt.pr "retransmits     %d (given up %d)@." c.Mmc_sim.Fault.retransmissions
-      c.Mmc_sim.Fault.abandoned;
-    Fmt.pr "acks            %d@." c.Mmc_sim.Fault.acks;
-    Fmt.pr "dups suppressed %d@." c.Mmc_sim.Fault.duplicates;
-    Fmt.pr "delivery delay  %a@." Mmc_sim.Stats.pp_summary
-      (Mmc_sim.Fault.delivery_delay f);
-    Fmt.pr "recovery time   %d@." (Mmc_sim.Fault.recovery_time f));
-  let h = res.Mmc_store.Runner.history in
-  (match save with
-  | Some path ->
-    Codec.to_file h path;
-    Fmt.pr "history saved   %s@." path
-  | None -> ());
-  let flavour =
-    match kind with
-    | Mmc_store.Store.Msc | Mmc_store.Store.Local | Mmc_store.Store.Seg ->
-      History.Msc
-    | _ -> History.Mlin
-  in
-  (match Mmc_store.Runner.check_trace res ~flavour with
-  | Check_constrained.Admissible _ ->
-    Fmt.pr "check           %a (Theorem 7, WW): PASS@." History.pp_flavour
-      flavour;
-    0
-  | r ->
-    Fmt.pr "check           %a (Theorem 7, WW): FAIL (%a)@." History.pp_flavour
-      flavour Check_constrained.pp_result r;
-    1)
+let faults { cfg; spec; seed } save =
+  let res = Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec) in
+  Fmt.pr "store           %a over %a@." Store.pp_kind cfg.kind
+    Mmc_broadcast.Abcast.pp_impl cfg.abcast_impl;
+  Fmt.pr "fault plan      %a@." Fault.pp_plan cfg.fault;
+  Fmt.pr "completed ops   %d@." res.Runner.completed;
+  Fmt.pr "virtual time    %d@." res.Runner.duration;
+  Fmt.pr "messages        %d@." res.Runner.messages;
+  Fmt.pr "update latency  %a@." Stats.pp_summary res.Runner.update_latency;
+  print_fault_counts ~long:true res.Runner.fault;
+  save_history save res.Runner.history;
+  if theorem7_verdict res ~flavour:(Store.flavour cfg.kind) then 0 else 1
 
 let faults_cmd =
-  let kind =
-    Arg.(
-      value
-      & opt store_kind_conv Mmc_store.Store.Msc
-      & info [ "store" ] ~docv:"STORE"
-          ~doc:"Store protocol: msc, rmsc, seg, mlin, central, local, causal, lock or aw.")
-  in
-  let procs =
-    Arg.(value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
-  in
-  let objects =
-    Arg.(
-      value & opt int 8
-      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 20
-      & info [ "ops" ] ~docv:"N" ~doc:"m-operations per process.")
-  in
-  let abcast =
-    Arg.(
-      value
-      & opt abcast_conv Mmc_broadcast.Abcast.Sequencer_impl
-      & info [ "abcast" ] ~docv:"IMPL"
-          ~doc:"Atomic broadcast: sequencer or lamport.")
-  in
-  let latency =
-    Arg.(
-      value
-      & opt latency_conv (Mmc_sim.Latency.Uniform (5, 15))
-      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
-  in
   let plan =
-    Arg.(
-      value
-      & opt fault_plan_conv
-          {
-            Mmc_sim.Fault.none with
-            Mmc_sim.Fault.drop = 0.2;
-            partitions =
-              [ { Mmc_sim.Fault.from_ = 150; until = 400; island = [ 0 ] } ];
-          }
-      & info [ "plan" ] ~docv:"PLAN"
-          ~doc:
-            "Fault plan, comma-separated fields: drop=P, spike=P:DELAY, \
-             part=FROM:UNTIL:N1+N2+.., crash=NODE:AT:BACK (part/crash \
-             repeatable).")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Save the history in the text format.")
+    {
+      Fault.none with
+      drop = 0.2;
+      partitions = [ { Fault.from_ = 150; until = 400; island = [ 0 ] } ];
+    }
   in
   Cmd.v
     (Cmd.info "faults"
@@ -1387,67 +1345,28 @@ let faults_cmd =
          "Run a protocol over a faulty transport and verify the trace \
           (Theorem-7 admissibility as a fault-tolerance oracle)")
     Term.(
-      const faults $ kind $ procs $ objects $ ops $ abcast $ latency $ seed
-      $ batch_term $ fastpath_term $ plan $ rto_arg "faults" $ max_rto_arg
-      $ max_retries_arg $ save)
+      const faults
+      $ run_term ~cmd:"faults" ~objects:8 ~ops:20 ~fastpath:true
+          ~plan:(plan, "The default drops 20% and isolates node 0 from t=150 to t=400.")
+          ~reliable:true ()
+      $ save_arg ~doc:"Save the history in the text format.")
 
 (* --- recover --- *)
 
-let recover procs objects ops abcast latency seed batch plan checkpoint_every
-    scrub_every crc json rto max_rto max_retries delivery heartbeat_every
-    suspect_after save =
-  require_positive ~cmd:"recover"
-    [
-      ("--procs", procs);
-      ("--objects", objects);
-      ("--ops", ops);
-      ("--checkpoint-every", checkpoint_every);
-    ];
-  (try Mmc_sim.Fault.validate ~n:procs plan
-   with Invalid_argument msg ->
-     Fmt.epr "mmc: recover: %s@." msg;
-     exit 124);
-  if not (List.exists (fun c -> c.Mmc_sim.Fault.wipe) plan.Mmc_sim.Fault.crashes)
-  then
+let recover { cfg; spec; seed } json save =
+  if not (List.exists (fun c -> c.Fault.wipe) cfg.fault.crashes) then
     Fmt.epr
       "mmc: recover: note: plan has no wipe crashes; nothing exercises the \
        WAL/checkpoint restart path@.";
-  let spec = { Mmc_workload.Spec.default with n_objects = objects } in
-  let cfg =
-    {
-      Mmc_store.Runner.default_config with
-      n_procs = procs;
-      n_objects = objects;
-      ops_per_proc = ops;
-      kind = Mmc_store.Store.Rmsc;
-      abcast_impl = abcast;
-      latency;
-      fault = plan;
-      reliable = reliable_overrides rto max_rto max_retries;
-      recovery =
-        {
-          Mmc_recovery.Rlog.default_policy with
-          checkpoint_every;
-          scrub_every;
-          crc;
-        };
-      delivery;
-      detector = detector_overrides ~cmd:"recover" heartbeat_every suspect_after;
-      batch;
-    }
-  in
   let res =
     (* A run blowing up (e.g. the recorder detecting two writers of one
        version, as unchecked corruption reaching replay will cause) is
        divergence-grade evidence, reported like the chaos driver does. *)
-    match
-      Mmc_store.Runner.run ~seed cfg
-        ~workload:(Mmc_workload.Generator.mixed spec)
-    with
+    match Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec) with
     | res -> res
     | exception e ->
       Fmt.pr "recover         DIVERGED: run raised %s@." (Printexc.to_string e);
-      Fmt.pr "fault plan      %a@." Mmc_sim.Fault.pp_plan plan;
+      Fmt.pr "fault plan      %a@." Fault.pp_plan cfg.fault;
       Fmt.pr
         "summary         converged=no admissible=no given-up=0 restarts=0 \
          repaired=0@.";
@@ -1457,169 +1376,92 @@ let recover procs objects ops abcast latency seed batch plan checkpoint_every
           seed;
       exit 2
   in
-  Fmt.pr "store           %a over %a (%a delivery)@." Mmc_store.Store.pp_kind
-    Mmc_store.Store.Rmsc Mmc_broadcast.Abcast.pp_impl abcast
-    Mmc_store.Rstore.pp_mode delivery;
-  Fmt.pr "fault plan      %a@." Mmc_sim.Fault.pp_plan plan;
-  Fmt.pr "completed ops   %d@." res.Mmc_store.Runner.completed;
-  Fmt.pr "virtual time    %d@." res.Mmc_store.Runner.duration;
-  Fmt.pr "messages        %d@." res.Mmc_store.Runner.messages;
-  (match res.Mmc_store.Runner.fault with
-  | None -> Fmt.pr "faults          none injected (empty plan)@."
-  | Some f ->
-    let c = Mmc_sim.Fault.counts f in
-    Fmt.pr "dropped         %d (loss %d, partition %d, crashed %d)@."
-      (Mmc_sim.Fault.dropped f) c.Mmc_sim.Fault.loss c.Mmc_sim.Fault.partitioned
-      c.Mmc_sim.Fault.crashed;
-    Fmt.pr "retransmits     %d (given up %d)@." c.Mmc_sim.Fault.retransmissions
-      c.Mmc_sim.Fault.abandoned;
-    Fmt.pr "restarts        %d@." c.Mmc_sim.Fault.restarts);
+  Fmt.pr "store           %a over %a (%a delivery)@." Store.pp_kind cfg.kind
+    Mmc_broadcast.Abcast.pp_impl cfg.abcast_impl Rstore.pp_mode cfg.delivery;
+  Fmt.pr "fault plan      %a@." Fault.pp_plan cfg.fault;
+  Fmt.pr "completed ops   %d@." res.Runner.completed;
+  Fmt.pr "virtual time    %d@." res.Runner.duration;
+  Fmt.pr "messages        %d@." res.Runner.messages;
+  print_fault_counts ~long:false res.Runner.fault;
   let h =
-    match res.Mmc_store.Runner.recovery with
-    | None ->
-      Fmt.epr "mmc: recover: internal error: no recovery handle@.";
-      exit 124
+    match res.Runner.recovery with
+    | None -> cli_error ~cmd:"recover" "internal error: no recovery handle"
     | Some h -> h
   in
-  let logs = h.Mmc_store.Rstore.log_stats () in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 logs in
+  let sum = log_sum h in
   let converged =
-    Fmt.pr "recoveries      %d@." (h.Mmc_store.Rstore.recoveries ());
+    Fmt.pr "recoveries      %d@." (h.recoveries ());
     Fmt.pr "wal             %d appends, %d checkpoints, %d replayed, %d \
             truncated@."
-      (sum (fun s -> s.Mmc_recovery.Rlog.appends))
-      (sum (fun s -> s.Mmc_recovery.Rlog.checkpoints))
-      (sum (fun s -> s.Mmc_recovery.Rlog.replayed))
-      (sum (fun s -> s.Mmc_recovery.Rlog.truncated));
+      (sum (fun s -> s.Rlog.appends))
+      (sum (fun s -> s.Rlog.checkpoints))
+      (sum (fun s -> s.Rlog.replayed))
+      (sum (fun s -> s.Rlog.truncated));
     Fmt.pr "storage         %d torn sectors, %d corrupt, %d silent, %d \
             repaired, %d scrubbed, %d ckpt-fallbacks, %d reclaimed@."
-      (sum (fun s -> s.Mmc_recovery.Rlog.torn))
-      (sum (fun s -> s.Mmc_recovery.Rlog.corrupt))
-      (sum (fun s -> s.Mmc_recovery.Rlog.silent))
-      (sum (fun s -> s.Mmc_recovery.Rlog.repaired))
-      (sum (fun s -> s.Mmc_recovery.Rlog.scrubbed))
-      (sum (fun s -> s.Mmc_recovery.Rlog.ckpt_fallbacks))
-      (sum (fun s -> s.Mmc_recovery.Rlog.reclaimed_sectors));
+      (sum (fun s -> s.Rlog.torn))
+      (sum (fun s -> s.Rlog.corrupt))
+      (sum (fun s -> s.Rlog.silent))
+      (sum (fun s -> s.Rlog.repaired))
+      (sum (fun s -> s.Rlog.scrubbed))
+      (sum (fun s -> s.Rlog.ckpt_fallbacks))
+      (sum (fun s -> s.Rlog.reclaimed_sectors));
     Fmt.pr "catch-up        %d pulls, %d pushes (%d entries, %d snapshots)@."
-      (h.Mmc_store.Rstore.pulls ())
-      (h.Mmc_store.Rstore.pushes ())
-      (h.Mmc_store.Rstore.entries_pushed ())
-      (h.Mmc_store.Rstore.snapshots_pushed ());
+      (h.pulls ()) (h.pushes ()) (h.entries_pushed ()) (h.snapshots_pushed ());
     Fmt.pr "broadcast       %a@." Mmc_broadcast.Rbcast.pp_stats
-      (h.Mmc_store.Rstore.broadcast_stats ());
-    (match h.Mmc_store.Rstore.detector_stats () with
+      (h.broadcast_stats ());
+    (match h.detector_stats () with
     | Some d -> Fmt.pr "detector        %a@." pp_detector_stats d
     | None -> ());
-    Fmt.pr "stability acks  %d@." (h.Mmc_store.Rstore.stability_acks ());
-    let ok = h.Mmc_store.Rstore.converged () in
-    Fmt.pr "replicas        %s@."
-      (if ok then "converged" else "DIVERGED");
+    Fmt.pr "stability acks  %d@." (h.stability_acks ());
+    let ok = h.converged () in
+    Fmt.pr "replicas        %s@." (if ok then "converged" else "DIVERGED");
     ok
   in
-  let h = res.Mmc_store.Runner.history in
-  (match save with
-  | Some path ->
-    Codec.to_file h path;
-    Fmt.pr "history saved   %s@." path
-  | None -> ());
+  save_history save res.Runner.history;
   let admissible =
-    match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
-    | Check_constrained.Admissible _ ->
-      Fmt.pr "check           msc (Theorem 7, WW): PASS@.";
-      true
-    | r ->
-      Fmt.pr "check           msc (Theorem 7, WW): FAIL (%a)@."
-        Check_constrained.pp_result r;
-      false
+    theorem7_verdict ~label:"msc" res ~flavour:(Store.flavour cfg.kind)
   in
   (* One greppable line with the run's verdicts and the retry-budget
      exhaustion counters: [given-up] is messages the reliable layer
      abandoned after its retry budget, the usual first suspect when a
      run fails to converge under an aggressive plan. *)
   let given_up, restarts =
-    match res.Mmc_store.Runner.fault with
+    match res.Runner.fault with
     | None -> (0, 0)
     | Some f ->
-      let c = Mmc_sim.Fault.counts f in
-      (c.Mmc_sim.Fault.abandoned, c.Mmc_sim.Fault.restarts)
+      let c = Fault.counts f in
+      (c.Fault.abandoned, c.Fault.restarts)
   in
   Fmt.pr "summary         converged=%s admissible=%s given-up=%d restarts=%d \
           repaired=%d@."
     (if converged then "yes" else "NO")
     (if admissible then "yes" else "NO")
     given_up restarts
-    (sum (fun s -> s.Mmc_recovery.Rlog.repaired));
+    (sum (fun s -> s.Rlog.repaired));
   if json then
     Fmt.pr
       "{\"cmd\":\"recover\",\"seed\":%d,\"converged\":%b,\"admissible\":%b,\"restarts\":%d,\"given_up\":%d,\"repaired\":%d,\"torn\":%d,\"corrupt\":%d,\"silent\":%d,\"scrubbed\":%d,\"ckpt_fallbacks\":%d}@."
       seed converged admissible restarts given_up
-      (sum (fun s -> s.Mmc_recovery.Rlog.repaired))
-      (sum (fun s -> s.Mmc_recovery.Rlog.torn))
-      (sum (fun s -> s.Mmc_recovery.Rlog.corrupt))
-      (sum (fun s -> s.Mmc_recovery.Rlog.silent))
-      (sum (fun s -> s.Mmc_recovery.Rlog.scrubbed))
-      (sum (fun s -> s.Mmc_recovery.Rlog.ckpt_fallbacks));
+      (sum (fun s -> s.Rlog.repaired))
+      (sum (fun s -> s.Rlog.torn))
+      (sum (fun s -> s.Rlog.corrupt))
+      (sum (fun s -> s.Rlog.silent))
+      (sum (fun s -> s.Rlog.scrubbed))
+      (sum (fun s -> s.Rlog.ckpt_fallbacks));
   if not converged then 2 else if not admissible then 1 else 0
 
 let recover_cmd =
-  let procs =
-    Arg.(value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
-  in
-  let objects =
-    Arg.(
-      value & opt int 8
-      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 12
-      & info [ "ops" ] ~docv:"N" ~doc:"m-operations per process.")
-  in
-  let abcast =
-    Arg.(
-      value
-      & opt abcast_conv Mmc_broadcast.Abcast.Sequencer_impl
-      & info [ "abcast" ] ~docv:"IMPL"
-          ~doc:"Atomic broadcast: sequencer or lamport.")
-  in
-  let latency =
-    Arg.(
-      value
-      & opt latency_conv (Mmc_sim.Latency.Uniform (5, 15))
-      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
-  in
   let plan =
-    Arg.(
-      value
-      & opt fault_plan_conv
-          {
-            Mmc_sim.Fault.none with
-            Mmc_sim.Fault.drop = 0.1;
-            crashes =
-              [
-                { Mmc_sim.Fault.node = 0; at = 150; back = 600; wipe = true };
-                { Mmc_sim.Fault.node = 2; at = 900; back = 1300; wipe = true };
-              ];
-          }
-      & info [ "plan" ] ~docv:"PLAN"
-          ~doc:
-            "Fault plan (same syntax as $(b,mmc faults)); use \
-             wipe=NODE:AT:BACK for wipe-crashes that exercise the restart \
-             path.  The default wipes the initial sequencer at t=150 and \
-             node 2 at t=900.")
-  in
-  let checkpoint_every =
-    Arg.(
-      value
-      & opt int Mmc_recovery.Rlog.default_policy.checkpoint_every
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Take a replica snapshot every $(docv) applied positions.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Save the history in the text format.")
+    {
+      Fault.none with
+      drop = 0.1;
+      crashes =
+        [
+          { Fault.node = 0; at = 150; back = 600; wipe = true };
+          { Fault.node = 2; at = 900; back = 1300; wipe = true };
+        ];
+    }
   in
   Cmd.v
     (Cmd.info "recover"
@@ -1650,53 +1492,30 @@ let recover_cmd =
               replicas did not converge.";
          ])
     Term.(
-      const recover $ procs $ objects $ ops $ abcast $ latency $ seed
-      $ batch_term $ plan $ checkpoint_every $ scrub_arg $ crc_arg
-      $ json_summary_arg $ rto_arg "recover" $ max_rto_arg
-      $ max_retries_arg $ delivery_arg $ heartbeat_every_arg
-      $ suspect_after_arg $ save)
+      const recover
+      $ run_term ~cmd:"recover" ~store:(`Fixed Store.Rmsc) ~objects:8 ~ops:12
+          ~plan:
+            ( plan,
+              "Wipe-crashes exercise the restart path; the default wipes \
+               the initial sequencer at t=150 and node 2 at t=900." )
+          ~reliable:true ~rstore:true ~checkpoint:true ()
+      $ json_summary_arg
+      $ save_arg ~doc:"Save the history in the text format.")
 
 (* --- chaos --- *)
 
-let chaos procs objects ops abcast latency seed batch plans delivery
-    heartbeat_every suspect_after scrub_every crc json verbose =
-  require_positive ~cmd:"chaos"
-    [
-      ("--procs", procs);
-      ("--objects", objects);
-      ("--ops", ops);
-      ("--plans", plans);
-    ];
-  let detector = detector_overrides ~cmd:"chaos" heartbeat_every suspect_after in
-  let spec = { Mmc_workload.Spec.default with n_objects = objects } in
+let chaos { cfg; spec; seed } plans json verbose =
+  require_positive ~cmd:"chaos" [ ("--plans", plans) ];
+  let procs = cfg.n_procs and ops = cfg.ops_per_proc in
   let diverged = ref 0 in
   let failed = ref 0 in
   let torn = ref 0 and corrupt = ref 0 and silent = ref 0 in
   let repaired = ref 0 and restarts = ref 0 in
   for i = 0 to plans - 1 do
     let run_seed = seed + i in
-    let plan =
-      Mmc_sim.Fault.fuzz ~rng:(Mmc_sim.Rng.create run_seed) ~n:procs
-    in
-    let cfg =
-      {
-        Mmc_store.Runner.default_config with
-        n_procs = procs;
-        n_objects = objects;
-        ops_per_proc = ops;
-        kind = Mmc_store.Store.Rmsc;
-        abcast_impl = abcast;
-        latency;
-        fault = plan;
-        delivery;
-        detector;
-        batch;
-        recovery =
-          { Mmc_recovery.Rlog.default_policy with scrub_every; crc };
-      }
-    in
+    let plan = Fault.fuzz ~rng:(Mmc_sim.Rng.create run_seed) ~n:procs in
     match
-      Mmc_store.Runner.run ~seed:run_seed cfg
+      Runner.run ~seed:run_seed { cfg with fault = plan }
         ~workload:(Mmc_workload.Generator.mixed spec)
     with
     | exception e ->
@@ -1705,89 +1524,74 @@ let chaos procs objects ops abcast latency seed batch plans delivery
          driver crash. *)
       incr diverged;
       incr failed;
-      Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Mmc_sim.Fault.pp_plan
-        plan;
+      Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Fault.pp_plan plan;
       Fmt.pr "            - run raised %s@." (Printexc.to_string e)
     | res ->
     let handle =
-      match res.Mmc_store.Runner.recovery with
+      match res.Runner.recovery with
       | Some h -> h
-      | None ->
-        Fmt.epr "mmc: chaos: internal error: no recovery handle@.";
-        exit 124
+      | None -> cli_error ~cmd:"chaos" "internal error: no recovery handle"
     in
-    let wipes = List.length (Mmc_sim.Fault.wipes plan) in
-    let logs = handle.Mmc_store.Rstore.log_stats () in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 logs in
-    torn := !torn + sum (fun s -> s.Mmc_recovery.Rlog.torn);
-    corrupt := !corrupt + sum (fun s -> s.Mmc_recovery.Rlog.corrupt);
-    silent := !silent + sum (fun s -> s.Mmc_recovery.Rlog.silent);
-    repaired := !repaired + sum (fun s -> s.Mmc_recovery.Rlog.repaired);
-    (match res.Mmc_store.Runner.fault with
-    | Some f ->
-      restarts :=
-        !restarts + (Mmc_sim.Fault.counts f).Mmc_sim.Fault.restarts
-    | None -> ());
+    let wipes = List.length (Fault.wipes plan) in
+    let sum = log_sum handle in
+    torn := !torn + sum (fun s -> s.Rlog.torn);
+    corrupt := !corrupt + sum (fun s -> s.Rlog.corrupt);
+    silent := !silent + sum (fun s -> s.Rlog.silent);
+    repaired := !repaired + sum (fun s -> s.Rlog.repaired);
+    let fault_restarts =
+      Option.map (fun f -> (Fault.counts f).Fault.restarts) res.Runner.fault
+    in
+    restarts := !restarts + Option.value fault_restarts ~default:0;
     let problems = ref [] in
     let note fmt = Fmt.kstr (fun s -> problems := s :: !problems) fmt in
     (* Oracle 1: every replica converged to identical state. *)
-    if not (handle.Mmc_store.Rstore.converged ()) then begin
+    if not (handle.converged ()) then begin
       incr diverged;
       note "replicas DIVERGED"
     end;
     (* Oracle 2: the history stitched across crash epochs is
        Theorem-7 admissible for m-sequential consistency. *)
-    (match Mmc_store.Runner.check_trace res ~flavour:History.Msc with
+    (match Runner.check_trace res ~flavour:(Store.flavour cfg.kind) with
     | Check_constrained.Admissible _ -> ()
-    | r ->
-      note "trace not admissible (%a)" Check_constrained.pp_result r);
+    | r -> note "trace not admissible (%a)" Check_constrained.pp_result r);
     (* Oracle 3: counter sanity — no operation lost, every
        wipe-crash restarted and completed its recovery. *)
-    if res.Mmc_store.Runner.completed <> procs * ops then
-      note "completed %d ops, expected %d" res.Mmc_store.Runner.completed
-        (procs * ops);
-    if handle.Mmc_store.Rstore.recoveries () <> wipes then
-      note "%d recoveries completed for %d wipe-crashes"
-        (handle.Mmc_store.Rstore.recoveries ())
+    if res.Runner.completed <> procs * ops then
+      note "completed %d ops, expected %d" res.Runner.completed (procs * ops);
+    if handle.recoveries () <> wipes then
+      note "%d recoveries completed for %d wipe-crashes" (handle.recoveries ())
         wipes;
-    (match res.Mmc_store.Runner.fault with
-    | Some f
-      when (Mmc_sim.Fault.counts f).Mmc_sim.Fault.restarts <> wipes ->
-      note "%d restarts recorded for %d wipe-crashes"
-        (Mmc_sim.Fault.counts f).Mmc_sim.Fault.restarts wipes
+    (match fault_restarts with
+    | Some r when r <> wipes ->
+      note "%d restarts recorded for %d wipe-crashes" r wipes
     | _ -> ());
     if !problems <> [] then begin
       incr failed;
-      Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Mmc_sim.Fault.pp_plan
-        plan;
+      Fmt.pr "seed %-6d FAIL  plan: %a@." run_seed Fault.pp_plan plan;
       List.iter (fun p -> Fmt.pr "            - %s@." p) (List.rev !problems);
       if verbose then begin
         Fmt.pr "            cursors: %a@."
           Fmt.(array ~sep:sp int)
-          (handle.Mmc_store.Rstore.cursors ());
+          (handle.cursors ());
         Fmt.pr "            broadcast: %a@." Mmc_broadcast.Rbcast.pp_stats
-          (handle.Mmc_store.Rstore.broadcast_stats ());
-        (match handle.Mmc_store.Rstore.detector_stats () with
+          (handle.broadcast_stats ());
+        (match handle.detector_stats () with
         | Some d -> Fmt.pr "            detector: %a@." pp_detector_stats d
         | None -> ());
-        match res.Mmc_store.Runner.fault with
-        | None -> ()
-        | Some f ->
-          let c = Mmc_sim.Fault.counts f in
-          Fmt.pr
-            "            faults: dropped %d, retransmits %d, given up %d@."
-            (Mmc_sim.Fault.dropped f) c.Mmc_sim.Fault.retransmissions
-            c.Mmc_sim.Fault.abandoned
+        Option.iter
+          (Fmt.pr "            faults: %a@." pp_fault_brief)
+          res.Runner.fault
       end
     end
     else if verbose then
-      Fmt.pr "seed %-6d ok    t=%-6d plan: %a@." run_seed
-        res.Mmc_store.Runner.duration Mmc_sim.Fault.pp_plan plan
+      Fmt.pr "seed %-6d ok    t=%-6d plan: %a@." run_seed res.Runner.duration
+        Fault.pp_plan plan
   done;
+  let crc = cfg.recovery.crc and scrub_every = cfg.recovery.scrub_every in
   Fmt.pr "chaos           %d random plans (seeds %d..%d), %a delivery@."
     plans seed
     (seed + plans - 1)
-    Mmc_store.Rstore.pp_mode delivery;
+    Rstore.pp_mode cfg.delivery;
   Fmt.pr "storage         %d torn sectors, %d corrupt, %d silent, %d \
           repaired (crc %s, scrub %s)@."
     !torn !corrupt !silent !repaired
@@ -1802,32 +1606,6 @@ let chaos procs objects ops abcast latency seed batch plans delivery
   if !diverged > 0 then 2 else if !failed > 0 then 1 else 0
 
 let chaos_cmd =
-  let procs =
-    Arg.(value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
-  in
-  let objects =
-    Arg.(
-      value & opt int 8
-      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 10
-      & info [ "ops" ] ~docv:"N" ~doc:"m-operations per process.")
-  in
-  let abcast =
-    Arg.(
-      value
-      & opt abcast_conv Mmc_broadcast.Abcast.Sequencer_impl
-      & info [ "abcast" ] ~docv:"IMPL"
-          ~doc:"Atomic broadcast: sequencer or lamport.")
-  in
-  let latency =
-    Arg.(
-      value
-      & opt latency_conv (Mmc_sim.Latency.Uniform (5, 15))
-      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
-  in
   let plans =
     Arg.(
       value & opt int 25
@@ -1877,9 +1655,10 @@ let chaos_cmd =
               diverged, 1 when only other oracle failures occurred.";
          ])
     Term.(
-      const chaos $ procs $ objects $ ops $ abcast $ latency $ seed
-      $ batch_term $ plans $ delivery_arg $ heartbeat_every_arg
-      $ suspect_after_arg $ scrub_arg $ crc_arg $ json_summary_arg $ verbose)
+      const chaos
+      $ run_term ~cmd:"chaos" ~store:(`Fixed Store.Rmsc) ~objects:8 ~ops:10
+          ~rstore:true ()
+      $ plans $ json_summary_arg $ verbose)
 
 (* --- shard --- *)
 
@@ -1895,46 +1674,22 @@ let placement_conv =
   in
   Arg.conv (parse, pp)
 
-let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
-    seed batch fastpath commute_ratio plan placement save =
-  require_positive ~cmd:"shard"
-    [
-      ("--shards", n_shards);
-      ("--procs", procs);
-      ("--objects", objects);
-      ("--ops", ops);
-    ];
-  (try Mmc_sim.Fault.validate ~n:procs plan
-   with Invalid_argument msg ->
-     Fmt.epr "mmc: shard: %s@." msg;
-     exit 124);
+let shard { cfg; spec; seed } n_shards cross skew commute_ratio
+    placement save =
+  require_positive ~cmd:"shard" [ ("--shards", n_shards) ];
+  require_ratio ~cmd:"shard"
+    (("--cross", cross)
+    :: List.map (fun r -> ("--commute-ratio", r)) (Option.to_list commute_ratio));
   let open Mmc_shard in
+  let objects = cfg.n_objects in
   let placement =
     try
       match placement with
       | `Hash -> Placement.hash ~n_shards ~n_objects:objects
       | `Round_robin -> Placement.round_robin ~n_shards ~n_objects:objects
-    with Invalid_argument msg ->
-      Fmt.epr "mmc: shard: %s@." msg;
-      exit 124
+    with Invalid_argument msg -> cli_error ~cmd:"shard" "%s" msg
   in
-  let spec =
-    { Mmc_workload.Spec.default with n_objects = objects; read_ratio; skew }
-  in
-  let cfg =
-    {
-      Mmc_store.Runner.default_config with
-      n_procs = procs;
-      n_objects = objects;
-      ops_per_proc = ops;
-      kind;
-      abcast_impl = abcast;
-      latency;
-      fault = plan;
-      batch;
-      fastpath;
-    }
-  in
+  let spec = { spec with skew } in
   let workload =
     match commute_ratio with
     | None ->
@@ -1943,12 +1698,12 @@ let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
       (* Commuting-ratio counter workload: the seg store's fast path
          regime, also runnable against any other store for A/B. *)
       Mmc_workload.Generator.sharded_counter_commute ~commute_ratio:r
-        ~n_procs:procs placement spec
+        ~n_procs:cfg.n_procs placement spec
   in
   let res = Shard_runner.run ~seed ~placement cfg ~workload in
-  Fmt.pr "store           %a x %d shards (%a placement)@."
-    Mmc_store.Store.pp_kind kind n_shards Placement.pp placement;
-  Fmt.pr "processes       %d@." procs;
+  Fmt.pr "store           %a x %d shards (%a placement)@." Store.pp_kind
+    cfg.kind n_shards Placement.pp placement;
+  Fmt.pr "processes       %d@." cfg.n_procs;
   Fmt.pr "completed ops   %d@." res.Shard_runner.completed;
   Fmt.pr "virtual time    %d@." res.Shard_runner.duration;
   Fmt.pr "messages        %d (%a by shard)@." res.Shard_runner.messages
@@ -1956,25 +1711,21 @@ let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
     res.Shard_runner.messages_by_shard;
   Fmt.pr "engine events   %d@." res.Shard_runner.events;
   Fmt.pr "router          %a@." Router.pp_stats res.Shard_runner.router;
-  Fmt.pr "query latency   %a@." Mmc_sim.Stats.pp_summary
-    res.Shard_runner.query_latency;
-  Fmt.pr "update latency  %a@." Mmc_sim.Stats.pp_summary
+  Fmt.pr "query latency   %a@." Stats.pp_summary res.Shard_runner.query_latency;
+  Fmt.pr "update latency  %a@." Stats.pp_summary
     res.Shard_runner.update_latency;
-  (match res.Shard_runner.fault with
-  | None -> ()
-  | Some f ->
-    let c = Mmc_sim.Fault.counts f in
-    Fmt.pr "faults          dropped %d, retransmits %d (given up %d)@."
-      (Mmc_sim.Fault.dropped f) c.Mmc_sim.Fault.retransmissions
-      c.Mmc_sim.Fault.abandoned);
+  Option.iter (Fmt.pr "faults          %a@." pp_fault_brief)
+    res.Shard_runner.fault;
   (* One greppable line for the seg store: how much coordination the
      fast path avoided. *)
-  (match kind with
-  | Mmc_store.Store.Seg ->
+  (match cfg.kind with
+  | Store.Seg ->
     let handles =
       Array.to_list res.Shard_runner.fastpath |> List.filter_map Fun.id
     in
-    let sum f = List.fold_left (fun a h -> a + f h.Mmc_store.Seg_store.stats) 0 handles in
+    let sum f =
+      List.fold_left (fun a h -> a + f h.Mmc_store.Seg_store.stats) 0 handles
+    in
     let local =
       sum (fun s -> s.Mmc_store.Seg_store.fast)
       + sum (fun s -> s.Mmc_store.Seg_store.fast_queries)
@@ -1991,35 +1742,22 @@ let shard n_shards kind procs objects ops cross read_ratio skew abcast latency
        mode=%a@."
       local escalated
       (sum (fun s -> s.Mmc_store.Seg_store.flushes))
-      msgs_per_op Mmc_fastpath.Classify.pp_mode fastpath
+      msgs_per_op Mmc_fastpath.Classify.pp_mode cfg.fastpath
   | _ -> ());
-  (match save with
-  | Some path ->
-    Codec.to_file res.Shard_runner.stitched.Shard_recorder.history path;
-    Fmt.pr "stitched saved  %s@." path
-  | None -> ());
-  let flavour =
-    match kind with
-    | Mmc_store.Store.Msc | Mmc_store.Store.Local | Mmc_store.Store.Seg ->
-      History.Msc
-    | _ -> History.Mlin
-  in
-  let v = Shard_runner.check res ~flavour in
+  save_history ~label:"stitched saved " save
+    res.Shard_runner.stitched.Shard_recorder.history;
+  let v = Shard_runner.check res ~flavour:(Store.flavour cfg.kind) in
   Fmt.pr "%a@." Check_sharded.pp v;
   if not v.Check_sharded.agree then 2
   else if Check_sharded.admissible v then 0
   else 1
 
 let shard_cmd =
+  let float_arg name ~docv ~doc default =
+    Arg.(value & opt float default & info [ name ] ~docv ~doc)
+  in
   let n_shards =
     Arg.(value & opt int 4 & info [ "shards" ] ~docv:"S" ~doc:"Number of shards.")
-  in
-  let kind =
-    Arg.(
-      value
-      & opt store_kind_conv Mmc_store.Store.Msc
-      & info [ "store" ] ~docv:"STORE"
-          ~doc:"Per-shard store protocol: msc, seg, mlin, central, lock, aw, ...")
   in
   let commute_ratio =
     Arg.(
@@ -2032,68 +1770,17 @@ let shard_cmd =
              store's classifier), the rest cross-owner moves (sequenced).  \
              Omitted = the default mixed sharded workload.")
   in
-  let procs =
-    Arg.(value & opt int 4 & info [ "procs" ] ~docv:"N" ~doc:"Number of processes.")
-  in
-  let objects =
-    Arg.(
-      value & opt int 16
-      & info [ "objects" ] ~docv:"N" ~doc:"Number of shared objects.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 20
-      & info [ "ops" ] ~docv:"N" ~doc:"m-operations per process.")
-  in
   let cross =
-    Arg.(
-      value & opt float 0.1
-      & info [ "cross" ] ~docv:"R"
-          ~doc:"Fraction of m-operations spanning two shards.")
-  in
-  let read_ratio =
-    Arg.(
-      value & opt float 0.5
-      & info [ "read-ratio" ] ~docv:"R" ~doc:"Query fraction.")
+    float_arg "cross" ~docv:"R" 0.1
+      ~doc:"Fraction of m-operations spanning two shards."
   in
   let skew =
-    Arg.(
-      value & opt float 0.0
-      & info [ "skew" ] ~docv:"S" ~doc:"Zipf exponent for object popularity.")
-  in
-  let abcast =
-    Arg.(
-      value
-      & opt abcast_conv Mmc_broadcast.Abcast.Sequencer_impl
-      & info [ "abcast" ] ~docv:"IMPL"
-          ~doc:"Per-shard atomic broadcast: sequencer or lamport.")
-  in
-  let latency =
-    Arg.(
-      value
-      & opt latency_conv (Mmc_sim.Latency.Uniform (5, 15))
-      & info [ "latency" ] ~docv:"MODEL" ~doc:"Latency model.")
-  in
-  let plan =
-    Arg.(
-      value
-      & opt fault_plan_conv Mmc_sim.Fault.none
-      & info [ "plan" ] ~docv:"PLAN"
-          ~doc:
-            "Fault plan under every shard's transport (same syntax as mmc \
-             faults); default none.")
+    float_arg "skew" ~docv:"S" 0.0 ~doc:"Zipf exponent for object popularity."
   in
   let placement =
     Arg.(
       value & opt placement_conv `Hash
       & info [ "placement" ] ~docv:"POLICY" ~doc:"Object placement: hash or rr.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE"
-          ~doc:"Save the stitched global history in the text format.")
   in
   Cmd.v
     (Cmd.info "shard"
@@ -2111,32 +1798,38 @@ let shard_cmd =
               decomposed and batch checkers disagree (a bug).";
          ])
     Term.(
-      const shard $ n_shards $ kind $ procs $ objects $ ops $ cross
-      $ read_ratio $ skew $ abcast $ latency $ seed $ batch_term
-      $ fastpath_term $ commute_ratio $ plan $ placement $ save)
+      const shard
+      $ run_term ~cmd:"shard"
+          ~store:
+            (`Flag
+              "Per-shard store protocol: msc, rmsc, seg, mlin or central.  \
+               The other stores run too, but have no update order for the \
+               Theorem-7 check to work under.")
+          ~objects:16 ~ops:20 ~read_ratio:true ~fastpath:true
+          ~plan:(Fault.none, "Injected under every shard's transport; default none.")
+          ()
+      $ n_shards $ cross $ skew $ commute_ratio $ placement
+      $ save_arg ~doc:"Save the stitched global history in the text format.")
 
 (* --- experiments --- *)
 
 let experiments ids quick =
-  let entries =
-    match ids with
-    | [] -> Mmc_experiments.Registry.all
-    | ids ->
-      List.filter_map
-        (fun id ->
-          match Mmc_experiments.Registry.find id with
-          | Some e -> Some e
-          | None ->
-            Fmt.epr "unknown experiment %S@." id;
-            None)
-        ids
-  in
-  List.iter
-    (fun (e : Mmc_experiments.Registry.entry) ->
-      Mmc_experiments.Table.print (if quick then e.quick () else e.run ());
-      print_newline ())
-    entries;
-  0
+  let module R = Mmc_experiments.Registry in
+  match List.filter (fun id -> R.find id = None) ids with
+  | _ :: _ as unknown ->
+    List.iter
+      (fun id ->
+        Fmt.epr "mmc: experiments: unknown experiment %S (known: %s)@." id
+          (String.concat ", " (List.map (fun (e : R.entry) -> e.id) R.all)))
+      unknown;
+    124
+  | [] ->
+    List.iter
+      (fun (e : R.entry) ->
+        Mmc_experiments.Table.print (if quick then e.quick () else e.run ());
+        print_newline ())
+      (if ids = [] then R.all else List.filter_map R.find ids);
+    0
 
 let experiments_cmd =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in

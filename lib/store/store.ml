@@ -56,3 +56,7 @@ let kind_of_string = function
   | "rmsc" -> Some Rmsc
   | "seg" -> Some Seg
   | _ -> None
+
+let flavour = function
+  | Msc | Rmsc | Seg | Local -> History.Msc
+  | Mlin | Central | Causal | Lock | Aw -> History.Mlin

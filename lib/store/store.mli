@@ -31,3 +31,9 @@ type kind =
 
 val pp_kind : Format.formatter -> kind -> unit
 val kind_of_string : string -> kind option
+
+(** The condition a store kind's trace is checked under:
+    m-sequential consistency for the Figure 4 family ([Msc], [Rmsc],
+    [Seg]) and for the [Local] baseline (whose traces are expected to
+    fail it), m-linearizability for every other kind. *)
+val flavour : kind -> History.flavour

@@ -19,9 +19,7 @@ open Mmc_core
 open Mmc_sim
 open Mmc_store
 
-let flavour_of_kind = function
-  | Store.Mlin -> History.Mlin
-  | _ -> History.Msc
+let flavour_of_kind = Store.flavour
 
 type config = {
   runner : Runner.config;

@@ -22,7 +22,7 @@ open Mmc_core
 open Mmc_sim
 open Mmc_store
 
-(** The consistency flavour a store kind's trace is checked under. *)
+(** Same as {!Mmc_store.Store.flavour}. *)
 val flavour_of_kind : Store.kind -> History.flavour
 
 type config = {

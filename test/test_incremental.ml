@@ -50,10 +50,6 @@ let run_one ~seed ~kind ~read_ratio =
   in
   Runner.run ~seed cfg ~workload:(Mmc_workload.Generator.mixed spec)
 
-let flavour_of = function
-  | Store.Msc | Store.Local -> History.Msc
-  | _ -> History.Mlin
-
 (* Sweep stores x read ratios x seeds under WW. *)
 let test_equivalence_ww () =
   List.iter
@@ -62,7 +58,7 @@ let test_equivalence_ww () =
         (fun read_ratio ->
           for seed = 0 to 4 do
             let res = run_one ~seed ~kind ~read_ratio in
-            let flavour = flavour_of kind in
+            let flavour = Store.flavour kind in
             Alcotest.check verdict
               (Fmt.str "%a r=%.1f seed=%d" Store.pp_kind kind read_ratio seed)
               (batch_check res ~flavour ~kind:Constraints.WW)
@@ -78,7 +74,7 @@ let test_equivalence_oo () =
     (fun kind ->
       for seed = 0 to 4 do
         let res = run_one ~seed ~kind ~read_ratio:0.0 in
-        let flavour = flavour_of kind in
+        let flavour = Store.flavour kind in
         Alcotest.check verdict
           (Fmt.str "OO %a seed=%d" Store.pp_kind kind seed)
           (batch_check res ~flavour ~kind:Constraints.OO)
