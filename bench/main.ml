@@ -8,7 +8,9 @@
      checker/T2-*  single-object polynomial vs multi-object exhaustive
      checker/T7    constrained-checker corpus pass
      core/*        large-history Theorem-7 / legality / closure kernels
-                   (n in {50,100,200,400}), the perf-trajectory set
+                   (n in {50,100,200,400}), the perf-trajectory set,
+                   plus the chain-clock checker (n up to 10^5) and the
+                   topological-order closure (n in {400,2000})
      protocol/P1..P3, C1, J1   store simulations (whole runs)
      broadcast/P4  atomic broadcast simulations
      objects/P5    DCAS contention loop
@@ -145,12 +147,14 @@ let registers n seed =
   Mmc_workload.Histories.random_register ~seed ~n_procs:4 ~n_objects:2
     ~n_mops:n ~write_ratio:0.5 ()
 
+(* The real updates in id order: the synchronization order that puts
+   a generated history under the WW-constraint. *)
+let ww_updates h =
+  History.real_mops h
+  |> List.filter Mop.is_update
+  |> List.map (fun (m : Mop.t) -> m.Mop.id)
+
 let ww_base h =
-  let updates =
-    History.real_mops h
-    |> List.filter Mop.is_update
-    |> List.map (fun (m : Mop.t) -> m.Mop.id)
-  in
   let base = History.base_relation h History.Msc in
   let rec link = function
     | a :: (b :: _ as rest) ->
@@ -158,7 +162,7 @@ let ww_base h =
       link rest
     | [ _ ] | [] -> ()
   in
-  link updates;
+  link (ww_updates h);
   base
 
 let t1_inputs =
@@ -226,6 +230,41 @@ let core_top =
   let n, _, base, _ = List.nth core_inputs (List.length core_inputs - 1) in
   (n, base)
 
+(* The chain-clock checker on the same kind of WW-synchronized
+   histories, up to sizes the bitset path cannot hold: theorem7-chain
+   at n in {200, 400, 2000, 10^4} beside theorem7-ww, one chain-only
+   row at n = 10^5, and the topological-order closure at n in
+   {400, 2000}.  Inputs are built per test (not at start-up) so other
+   groups do not pay for them; [--quick] keeps the two smallest chain
+   sizes and the smaller closure. *)
+let chain_sizes =
+  if cli_quick then [ 200; 400 ] else [ 200; 400; 2000; 10_000; 100_000 ]
+
+let closure_topo_sizes = if cli_quick then [ 400 ] else [ 400; 2000 ]
+
+let bench_chain =
+  List.map
+    (fun n ->
+      Test.make_with_resource
+        ~name:(Fmt.str "theorem7-chain-%d" n)
+        Test.uniq
+        ~allocate:(fun () ->
+          let h = consistent n ((n * 7) + soff) in
+          (h, [ ww_updates h ]))
+        ~free:ignore
+        (Staged.stage (fun (h, sync) ->
+             ignore (Check_chain.check h History.Msc ~sync Constraints.WW))))
+    chain_sizes
+  @ List.map
+      (fun n ->
+        Test.make_with_resource
+          ~name:(Fmt.str "closure-topo-%d" n)
+          Test.uniq
+          ~allocate:(fun () -> ww_base (consistent n ((n * 7) + soff)))
+          ~free:ignore
+          (Staged.stage (fun base -> ignore (Relation.transitive_closure base))))
+      closure_topo_sizes
+
 let bench_core =
   Test.make_grouped ~name:"core"
     (List.concat_map
@@ -242,7 +281,8 @@ let bench_core =
              ~name:(Fmt.str "closure-%d" n)
              (Staged.stage (fun () -> ignore (Relation.transitive_closure base)));
          ])
-       core_inputs)
+       core_inputs
+    @ bench_chain)
 
 (* Allocation bill of the top closure kernel, with and without the
    relation arena, recorded with --json when the core group runs.  The

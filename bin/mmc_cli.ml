@@ -64,39 +64,7 @@ let flavour_conv =
   Arg.conv (parse, History.pp_flavour)
 
 let latency_conv =
-  let parse s =
-    let delay d =
-      match int_of_string_opt d with Some d when d >= 0 -> Some d | _ -> None
-    in
-    let model =
-      let open Mmc_sim.Latency in
-      match String.split_on_char ':' s with
-      | [ "constant"; d ] -> Option.map (fun d -> Constant d) (delay d)
-      | [ "uniform"; lo; hi ] -> (
-        match (delay lo, delay hi) with
-        | Some lo, Some hi when lo <= hi -> Some (Uniform (lo, hi))
-        | _ -> None)
-      | [ "exp"; m ] -> (
-        match int_of_string_opt m with
-        | Some m when m >= 1 -> Some (Exponential m)
-        | _ -> None)
-      | [ "bimodal"; fast; slow; p ] -> (
-        match (delay fast, delay slow, float_of_string_opt p) with
-        | Some fast, Some slow, Some p_slow when p_slow >= 0.0 && p_slow <= 1.0
-          ->
-          Some (Bimodal { fast; slow; p_slow })
-        | _ -> None)
-      | _ -> None
-    in
-    Option.to_result model
-      ~none:
-        (`Msg
-          (Fmt.str
-             "bad latency model %S: expected constant:D | uniform:LO:HI | \
-              exp:MEAN | bimodal:FAST:SLOW:P (delays >= 0, LO <= HI, MEAN \
-              >= 1, P in [0, 1])"
-             s))
-  in
+  let parse s = Result.map_error (fun e -> `Msg e) (Mmc_sim.Latency.of_string s) in
   Arg.conv (parse, Mmc_sim.Latency.pp)
 
 let fault_plan_usage =

@@ -10,7 +10,9 @@
     The pipeline is single-pass: the base relation is closed exactly
     once (acyclicity read off the closure's diagonal) and the
     interference triples are computed once and shared between the
-    legality scan and the [~rw] extension. *)
+    legality scan and the [~rw] extension.  {!Check_chain} answers
+    the same question without a closure; this bitset pipeline is its
+    independent oracle. *)
 
 type result =
   | Admissible of Sequential.witness
@@ -81,16 +83,13 @@ let check_closed ?arena h closed kind =
     not trusted.  Used directly when the synchronization order (e.g.
     the atomic-broadcast order) is supplied as extra edges beyond a
     standard flavour. *)
-let check_relation ?arena h base kind =
-  let closed = Relation.transitive_closure ?arena base in
-  let verdict = check_closed ?arena h closed kind in
-  Option.iter (fun a -> Relation.recycle a closed) arena;
-  verdict
+let check_relation h base kind =
+  check_closed h (Relation.transitive_closure base) kind
 
 (** [check h flavour kind] — {!check_relation} over the base relation
     of the given consistency condition. *)
-let check ?arena h flavour kind =
-  check_relation ?arena h (History.base_relation h flavour) kind
+let check h flavour kind =
+  check_relation h (History.base_relation h flavour) kind
 
 (** Incrementally closed relation for checking a growing trace: edges
     stream in (process order, reads-from, synchronization order...) as

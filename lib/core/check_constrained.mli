@@ -30,12 +30,9 @@ val check_closed :
 (** [check_relation h base kind] — decide admissibility with respect to
     the (not necessarily closed) relation [base], verifying constraint
     [kind] first.  Use when the synchronization order (e.g. the atomic
-    broadcast order) is supplied as extra edges.  [~arena] recycles
-    the closure intermediates (both the closed copy and the
-    [~rw]-extension), cutting the check's allocations to near zero
-    after warm-up. *)
+    broadcast order) is supplied as extra edges.  The bitset oracle
+    that {!Check_chain} is cross-checked against. *)
 val check_relation :
-  ?arena:Relation.Arena.arena ->
   History.t ->
   Relation.t ->
   Constraints.kind ->
@@ -44,7 +41,6 @@ val check_relation :
 (** [check h flavour kind] — over the base relation of the given
     consistency condition. *)
 val check :
-  ?arena:Relation.Arena.arena ->
   History.t ->
   History.flavour ->
   Constraints.kind ->

@@ -79,17 +79,34 @@ let create ~n_objects mops ~rf =
       check ms)
     by_proc;
   (* Reads-from must cover each external read exactly once, with
-     matching values. *)
+     matching values.  The edges are walked by reader alongside the
+     m-operations (sorted first unless they already are, as a
+     recorder's are), so the scan is O(|rf| log |rf| + n) instead of
+     one pass over [rf] per read; out-of-range readers are skipped
+     here and reported below. *)
+  let rec by_reader = function
+    | e :: (f :: _ as rest) -> e.reader <= f.reader && by_reader rest
+    | [ _ ] | [] -> true
+  in
+  let pending =
+    ref
+      (if by_reader rf then rf
+       else List.stable_sort (fun e f -> compare e.reader f.reader) rf)
+  in
+  let rec own id acc = function
+    | e :: rest when e.reader < id -> own id acc rest
+    | e :: rest when e.reader = id -> own id (e :: acc) rest
+    | rest ->
+      pending := rest;
+      acc
+  in
   Array.iter
     (fun (m : Mop.t) ->
+      let mine = own m.Mop.id [] !pending in
       if m.Mop.id <> Types.init_mop then
         List.iter
           (fun (x, v) ->
-            match
-              List.filter
-                (fun e -> e.reader = m.Mop.id && e.obj = x)
-                rf
-            with
+            match List.filter (fun e -> e.obj = x) mine with
             | [] ->
               ill_formed "no reads-from edge for read of x%d by #%d" x m.Mop.id
             | [ e ] -> (
@@ -221,21 +238,19 @@ let pp_flavour ppf = function
   | Mlin -> Fmt.string ppf "m-linearizability"
 
 (** Edges of the base relation [~H] of the given flavour, as a stream:
-    initializer-first, process order, reads-from, then the flavour's
-    extra order.  This is what {!base_relation} materializes; callers
-    maintaining a closure incrementally (e.g. over a growing trace)
-    consume the stream edge by edge instead. *)
+    process order (which already puts the initializer first, each
+    edge once), reads-from, then the flavour's extra order.  This is
+    what {!base_relation} materializes; callers maintaining a closure
+    incrementally (e.g. over a growing trace) consume the stream edge
+    by edge instead. *)
 let base_edges t flavour =
-  let init =
-    List.init (n_mops t - 1) (fun j -> (Types.init_mop, j + 1))
-  in
   let extra =
     match flavour with
     | Msc -> []
     | Mnorm -> obj_edges t
     | Mlin -> rt_edges t
   in
-  init @ proc_order_edges t @ rf_mop_edges t @ extra
+  proc_order_edges t @ rf_mop_edges t @ extra
 
 (** Base relation [~H] of the given flavour (not transitively closed). *)
 let base_relation t flavour =

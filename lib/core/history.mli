@@ -70,7 +70,8 @@ type flavour =
 val pp_flavour : Format.formatter -> flavour -> unit
 
 (** Edges of the base relation [~H] of the given flavour, as a stream
-    (initializer-first, process order, reads-from, flavour extras) —
+    (process order with the initializer first, reads-from, flavour
+    extras; each initializer edge once) —
     what {!base_relation} materializes.  For callers maintaining a
     transitive closure incrementally over a growing trace. *)
 val base_edges : t -> flavour -> (Types.mop_id * Types.mop_id) list

@@ -1,7 +1,7 @@
 (** Dense binary relations over m-operation identifiers (word-packed
     bit-matrix representation: 63 adjacency bits per native int), with
     the closure / acyclicity / topological-sort operations the checkers
-    need.  [union], [subset] and the Warshall closure are word-parallel;
+    need.  [union], [subset] and the closure are word-parallel;
     row iteration is allocation-free. *)
 
 type t
@@ -64,13 +64,18 @@ val recycle : Arena.arena -> t -> unit
     recycles it on retirement allocates nothing after warm-up. *)
 val create_in : Arena.arena -> int -> t
 
-(** Warshall transitive closure (fresh copy; [_inplace] mutates).
-    With [~arena] the fresh copy's words come from the arena's free
-    lists. *)
+(** Transitive closure (fresh copy; [_inplace] mutates), computed
+    component by component in reverse topological order: each row is
+    the union of its direct successors' closed rows, O(n . n/63 +
+    E . n/63) word operations for E direct edges.  Members of a cyclic
+    component share one row that includes themselves.  With [~arena]
+    the fresh copy's words come from the arena's free lists (the
+    search's five n-word scratch arrays are not pooled). *)
 val transitive_closure : ?arena:Arena.arena -> t -> t
 
 (** [closure_with t edges] — fresh closure of [t ∪ edges], [t] already
-    closed; incremental per edge when the new edges are few.  With
+    closed; incremental per edge for up to n new edges, one batch
+    closure beyond that.  With
     [~arena] the copy's words come from the arena. *)
 val closure_with : ?arena:Arena.arena -> t -> (int * int) list -> t
 

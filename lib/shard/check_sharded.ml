@@ -22,9 +22,8 @@ let is_admissible = function
   | Check_constrained.Admissible _ -> true
   | _ -> false
 
-(* Verdicts are compared by shape: the incremental and batch paths
-   share the closure contents but may differ in witness/counterexample
-   details. *)
+(* Verdicts are compared by shape: the chain-clock and batch paths
+   may differ in witness/counterexample details. *)
 let same_verdict a b =
   match (a, b) with
   | Check_constrained.Admissible _, Check_constrained.Admissible _
@@ -47,48 +46,37 @@ let link_edges order =
   in
   go [] order
 
-let constraint_edges (st : Shard_recorder.t) =
-  List.concat_map link_edges
-    (Array.to_list st.Shard_recorder.chains @ [ st.Shard_recorder.sync_order ])
+let sync_chains (st : Shard_recorder.t) =
+  Array.to_list st.Shard_recorder.chains @ [ st.Shard_recorder.sync_order ]
 
 let stitched_relation (st : Shard_recorder.t) ~flavour =
   let h = st.Shard_recorder.history in
   let rel = Relation.create (History.n_mops h) in
   Relation.add_edges rel (History.base_edges h flavour);
-  Relation.add_edges rel (constraint_edges st);
+  Relation.add_edges rel (List.concat_map link_edges (sync_chains st));
   rel
 
 (** One shard's Theorem-7 check: the flavour's base relation over the
     shard's own (local) history plus the shard's broadcast order. *)
 let check_shard recorder ~flavour ~kind shard =
   let history, _stamps, sync_order = Recorder.to_history_full recorder in
-  let inc = Check_constrained.Incremental.create (History.n_mops history) in
-  Check_constrained.Incremental.add_edges inc
-    (History.base_edges history flavour);
-  Check_constrained.Incremental.add_edges inc (link_edges sync_order);
-  let result = Check_constrained.Incremental.check inc history kind in
+  let result = Check_chain.check history flavour ~sync:[ sync_order ] kind in
   { shard; mops = History.n_mops history - 1; result }
 
 let check_stitched ?(kind = Constraints.WW) (st : Shard_recorder.t) ~flavour =
-  let h = st.Shard_recorder.history in
-  let inc = Check_constrained.Incremental.create (History.n_mops h) in
-  Check_constrained.Incremental.add_edges inc (History.base_edges h flavour);
-  Check_constrained.Incremental.add_edges inc (constraint_edges st);
-  Check_constrained.Incremental.check inc h kind
+  Check_chain.check st.Shard_recorder.history flavour ~sync:(sync_chains st)
+    kind
 
 let check_shards ?(kind = Constraints.WW) recorders ~flavour =
   Array.mapi (fun s recorder -> check_shard recorder ~flavour ~kind s) recorders
 
-let check ?arena ?(oracle = true) ?(kind = Constraints.WW) placement recorders
-    ~flavour =
+let check ?(oracle = true) ?(kind = Constraints.WW) recorders st ~flavour =
   let per_shard = check_shards ~kind recorders ~flavour in
-  let st = Shard_recorder.stitch placement recorders in
   let stitched = check_stitched ~kind st ~flavour in
   let batch =
     if oracle then
       Some
-        (Check_constrained.check_relation ?arena
-           st.Shard_recorder.history
+        (Check_constrained.check_relation st.Shard_recorder.history
            (stitched_relation st ~flavour)
            kind)
     else None

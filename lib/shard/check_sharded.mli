@@ -8,19 +8,19 @@
 
     - each shard's trace is checked on its own — base relation of the
       consistency condition plus that shard's broadcast order — over an
-      S-times smaller history (the per-shard closure costs ~(n/S)^3
-      against n^3 for the global one), and
+      S-times smaller history, and
     - the stitched global history is checked once, with the merged
       update order of {!Shard_recorder} installing the global
-      WW-constraint, the closure maintained incrementally
-      ({!Mmc_core.Check_constrained.Incremental}).
+      WW-constraint.
 
-    Two distinct comparisons come out of this:
+    Both use the chain-clock checker ({!Mmc_core.Check_chain}).  Two
+    distinct comparisons come out of this:
 
-    - [agree] — the decomposed incremental pipeline reaches the same
-      verdict as the plain batch {!Mmc_core.Check_constrained}
-      ("unsharded") run on the very same stitched history and relation.
-      This must always hold; a disagreement is a checker bug.
+    - [agree] — the chain-clock verdict on the stitched history matches
+      the plain batch bitset checker's
+      ({!Mmc_core.Check_constrained.check_relation}, "unsharded") on
+      the very same stitched history and relation.  The two share no
+      closure code; a disagreement is a checker bug.
     - [composes] — (every shard admissible) <=> (stitched history
       admissible).  This can legitimately fail: sequential-consistency-
       style conditions are not compositional (cf. Gotsman et al.,
@@ -66,9 +66,9 @@ val pp : Format.formatter -> t -> unit
 val stitched_relation :
   Shard_recorder.t -> flavour:History.flavour -> Relation.t
 
-(** [check_stitched st ~flavour ~kind] — Theorem-7 check of the
-    stitched global history over {!stitched_relation}, maintained
-    incrementally edge-by-edge. *)
+(** [check_stitched st ~flavour ~kind] — chain-clock Theorem-7 check
+    of the stitched global history over the same edges as
+    {!stitched_relation}. *)
 val check_stitched :
   ?kind:Constraints.kind ->
   Shard_recorder.t ->
@@ -84,20 +84,18 @@ val check_shards :
   flavour:History.flavour ->
   shard_verdict array
 
-(** [check ?oracle ?kind placement recorders ~flavour] —
-    per-shard Theorem-7 checks, the stitched incremental check, the
-    batch cross-check and the [agree] / [composes] bits.  [kind]
-    defaults to WW (each shard's broadcast totally orders its updates,
-    and the merged order extends them globally).  [~oracle:false]
-    skips the O(n^3) batch cross-check (then [batch = None] and
-    [agree] is vacuously true) — for bench loops that only want the
-    decomposed pipeline.  [~arena] recycles the oracle's closure
-    intermediates ({!Mmc_core.Relation.Arena}). *)
+(** [check ?oracle ?kind recorders st ~flavour] — per-shard
+    Theorem-7 checks of [recorders], the stitched check of [st] (their
+    stitched trace), the batch cross-check and the [agree] /
+    [composes] bits.  [kind] defaults to WW (each shard's broadcast
+    totally orders its updates, and the merged order extends them
+    globally).  [~oracle:false] skips the bitset batch cross-check
+    (then [batch = None] and [agree] is vacuously true) — for bench
+    loops that only want the decomposed pipeline. *)
 val check :
-  ?arena:Relation.Arena.arena ->
   ?oracle:bool ->
   ?kind:Constraints.kind ->
-  Placement.t ->
   Mmc_store.Recorder.t array ->
+  Shard_recorder.t ->
   flavour:History.flavour ->
   t

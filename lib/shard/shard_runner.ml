@@ -95,5 +95,5 @@ let run ~seed ?placement (cfg : Runner.config) ~workload =
     fastpath;
   }
 
-let check ?arena ?oracle ?(kind = Constraints.WW) res ~flavour =
-  Check_sharded.check ?arena ?oracle ~kind res.placement res.recorders ~flavour
+let check ?oracle ?(kind = Constraints.WW) res ~flavour =
+  Check_sharded.check ?oracle ~kind res.recorders res.stitched ~flavour

@@ -45,11 +45,10 @@ val run :
   result
 
 (** [check result ~flavour] — per-shard Theorem-7 checks plus the
-    stitched global check ({!Check_sharded.check}); [kind] defaults
-    to WW.  [~arena] recycles the oracle's closure intermediates;
+    stitched global check ({!Check_sharded.check}) over the stitched
+    trace [run] already built; [kind] defaults to WW.
     [~oracle:false] skips the batch cross-check. *)
 val check :
-  ?arena:Relation.Arena.arena ->
   ?oracle:bool ->
   ?kind:Constraints.kind ->
   result ->

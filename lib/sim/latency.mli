@@ -10,7 +10,15 @@ type t =
       (** mostly [fast], occasionally [slow] — heavy jitter *)
 
 val sample : t -> Rng.t -> int
+
+(** Prints the syntax {!of_string} reads: [constant:D],
+    [uniform:LO:HI], [exp:MEAN] or [bimodal:FAST:SLOW:P]. *)
 val pp : Format.formatter -> t -> unit
+
+(** Parses {!pp}'s syntax; [Error] names the accepted forms.  Delays
+    must be [>= 0], [LO <= HI], [MEAN >= 1] and [P] in [[0, 1]], so
+    [of_string (Fmt.str "%a" pp l) = Ok l] for every valid [l]. *)
+val of_string : string -> (t, string) result
 
 (** Uniform 5–15: the experiments' default — wide enough that
     reordering is routine. *)

@@ -128,27 +128,14 @@ let make_store ?fault ?sink ?tail ?ownership ?fsink cfg engine ~rng ~recorder =
 (** [check_trace result ~flavour] — Theorem-7 admissibility of the
     recorded trace: the flavour's base relation plus the recorded
     atomic-broadcast order as extra edges, checked under [kind]
-    (default WW — the broadcast totally orders updates).
+    (default WW — the broadcast totally orders updates) by the
+    chain-clock checker ({!Mmc_core.Check_chain}): no transitive
+    closure, O((n + E) . p) time for [p] processes. *)
+let check_history ?(kind = Constraints.WW) h ~sync_order ~flavour =
+  Check_chain.check h flavour ~sync:[ sync_order ] kind
 
-    The transitive closure is maintained incrementally as the trace's
-    edges stream in ({!Mmc_core.Check_constrained.Incremental}), the
-    way a live verifier would follow a growing trace: edges already
-    implied by the closure cost O(1), and the final check runs on the
-    maintained closure without ever re-closing from scratch. *)
-let check_history ?arena ?(kind = Constraints.WW) h ~sync_order ~flavour =
-  let inc = Check_constrained.Incremental.create (History.n_mops h) in
-  Check_constrained.Incremental.add_edges inc (History.base_edges h flavour);
-  let rec link = function
-    | a :: (b :: _ as rest) ->
-      Check_constrained.Incremental.add_edge inc a b;
-      link rest
-    | [ _ ] | [] -> ()
-  in
-  link sync_order;
-  Check_constrained.Incremental.check ?arena inc h kind
-
-let check_trace ?arena ?kind (res : result) ~flavour =
-  check_history ?arena ?kind res.history ~sync_order:res.sync_order ~flavour
+let check_trace ?kind (res : result) ~flavour =
+  check_history ?kind res.history ~sync_order:res.sync_order ~flavour
 
 (** [run ~seed cfg ~workload] — [workload rng ~proc ~step] produces the
     [step]-th m-operation of client [proc]. *)

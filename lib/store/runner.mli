@@ -85,13 +85,10 @@ val make_store :
 
 (** [check_trace result ~flavour] — Theorem-7 admissibility of the
     recorded trace: the flavour's base relation plus the recorded
-    atomic-broadcast order, checked under [kind] (default WW).  The
-    transitive closure is maintained incrementally edge by edge
-    ({!Mmc_core.Check_constrained.Incremental}), never re-closed from
-    scratch; [test_incremental] pins its verdicts to the batch
-    checker's. *)
+    atomic-broadcast order, checked under [kind] (default WW) by the
+    chain-clock checker ({!Mmc_core.Check_chain}); [test_incremental]
+    pins its verdicts to the bitset checker's. *)
 val check_trace :
-  ?arena:Relation.Arena.arena ->
   ?kind:Constraints.kind ->
   result ->
   flavour:History.flavour ->
@@ -102,7 +99,6 @@ val check_trace :
     NDJSON files, the soak's full-verification cross-check) rather
     than through {!run}. *)
 val check_history :
-  ?arena:Relation.Arena.arena ->
   ?kind:Constraints.kind ->
   History.t ->
   sync_order:Types.mop_id list ->

@@ -1,8 +1,7 @@
-(* Equivalence of the incremental Theorem-7 pipeline and the batch
-   checker: on random Generator traces, `Check_constrained.Incremental`
-   fed edge-by-edge (the `Runner.check_trace` path) must reach the same
-   verdict as `check_relation` over the same relation built in one
-   shot. *)
+(* Equivalence of the trace checker and the batch checker: on random
+   Generator traces, `Runner.check_trace` (the chain-clock
+   `Check_chain` path) must reach the same verdict as the bitset
+   `check_relation` over the same relation built in one shot. *)
 
 open Mmc_core
 open Mmc_store

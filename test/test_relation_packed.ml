@@ -1,6 +1,6 @@
 (* Property tests for the word-packed Mmc_core.Relation against a naive
    bool-matrix reference implementation.  Sizes cross the 63-bit word
-   boundaries (63, 64, 126, 127) and go up to n = 200 randomized, so
+   boundaries (63, 64, 126, 127) and go up to n = 1200 randomized, so
    packing bugs at row edges cannot hide. *)
 
 open Mmc_core
@@ -50,6 +50,27 @@ module Ref = struct
     Array.iteri (fun i row -> if row.(i) then ok := false) r;
     !ok
 
+    (* Reachability by a depth-first search from every node over
+     adjacency lists: O(n . (n + E)), cheap enough to serve as the
+     reference past n = 1000 where [closure] is cubic. *)
+  let reach n edges =
+    let succ = Array.make n [] in
+    List.iter (fun (i, j) -> succ.(i) <- j :: succ.(i)) edges;
+    Array.init n (fun s ->
+        let seen = Array.make n false in
+        let stack = ref succ.(s) in
+        while !stack <> [] do
+          match !stack with
+          | [] -> ()
+          | v :: rest ->
+            stack := rest;
+            if not seen.(v) then begin
+              seen.(v) <- true;
+              stack := List.rev_append succ.(v) !stack
+            end
+        done;
+        seen)
+
   let same (r : t) (p : Relation.t) =
     let n = Array.length r in
     Relation.size p = n
@@ -76,15 +97,43 @@ let gen_graph sizes =
     in
     return (n, edges))
 
+(* A random graph with a planted cycle: a ring over up to eight
+   random nodes (one node makes a self-loop). *)
+let gen_cyclic sizes =
+  QCheck.Gen.(
+    let* n, edges = gen_graph sizes in
+    let* ring = list_size (int_range 1 (min n 8)) (int_bound (n - 1)) in
+    let ring_edges =
+      List.map2 (fun a b -> (a, b)) ring (List.tl ring @ [ List.hd ring ])
+    in
+    return (n, ring_edges @ edges))
+
 let print_graph (n, edges) =
   Printf.sprintf "n=%d edges=[%s]" n
     (String.concat "; " (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) edges))
 
 let arb sizes = QCheck.make ~print:print_graph (gen_graph sizes)
 
+let arb_cyclic sizes = QCheck.make ~print:print_graph (gen_cyclic sizes)
+
+(* The same edges oriented low -> high: a DAG, so the closure has
+   structure instead of one giant component. *)
+let arb_dag sizes =
+  QCheck.make ~print:print_graph
+    QCheck.Gen.(
+      map
+        (fun (n, edges) ->
+          ( n,
+            List.filter_map
+              (fun (i, j) ->
+                if i = j then None else Some (min i j, max i j))
+              edges ))
+        (gen_graph sizes))
+
 let small = [ 1; 2; 3; 5; 8; 13 ]
 let boundary = [ 62; 63; 64; 65; 126; 127 ]
 let large = [ 200 ]
+let wide = [ 1009; 1200 ]
 
 (* --- closure / union / subset vs reference --- *)
 
@@ -94,6 +143,28 @@ let prop_closure sizes count =
     ~count (arb sizes) (fun (n, edges) ->
       Ref.same
         (Ref.closure (Ref.of_edges n edges))
+        (Relation.transitive_closure (Relation.of_edges n edges)))
+
+(* Planted cycles must surface as reflexive entries, with every other
+   bit still equal to the reference. *)
+let prop_closure_cyclic sizes count =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "cyclic closure matches reference (n<=%d)"
+         (List.fold_left max 0 sizes))
+    ~count (arb_cyclic sizes) (fun (n, edges) ->
+      let c = Relation.transitive_closure (Relation.of_edges n edges) in
+      Ref.same (Ref.closure (Ref.of_edges n edges)) c
+      && not (Relation.is_irreflexive c))
+
+(* Past n = 1000 (rows of 17+ words), acyclic and with planted
+   cycles, against the search-based reference. *)
+let prop_closure_wide what gen count =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "closure matches reachability (n>1000, %s)" what)
+    ~count gen
+    (fun (n, edges) ->
+      Ref.same (Ref.reach n edges)
         (Relation.transitive_closure (Relation.of_edges n edges)))
 
 let prop_union_subset =
@@ -341,6 +412,10 @@ let () =
           [
             prop_closure small 200;
             prop_closure boundary 25;
+            prop_closure_cyclic small 200;
+            prop_closure_cyclic boundary 25;
+            prop_closure_wide "DAG" (arb_dag wide) 3;
+            prop_closure_wide "planted cycle" (arb_cyclic wide) 3;
             prop_union_subset;
             prop_cardinal_edges;
             prop_add_edge_closed;

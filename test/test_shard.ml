@@ -127,7 +127,7 @@ let assert_verified ?kind ~flavour name (res : Shard_runner.result) =
         | _ -> false))
     v.Check_sharded.per_shard;
   Alcotest.(check bool)
-    (Fmt.str "%s: incremental/batch agree" name)
+    (Fmt.str "%s: chain/batch agree" name)
     true v.Check_sharded.agree;
   (* Lean verification (oracle skipped): same stitched verdict, no
      batch result, agreement vacuously true. *)
@@ -229,7 +229,7 @@ let test_other_store_kinds () =
   ignore (assert_verified ~flavour:History.Mlin "mlin sharded" res);
   let res = run ~kind:Store.Lock ~seed:5 ~n_shards:4 ~cross:0.2 () in
   let v = Shard_runner.check res ~flavour:History.Mlin in
-  Alcotest.(check bool) "lock: incremental/batch agree" true
+  Alcotest.(check bool) "lock: chain/batch agree" true
     v.Check_sharded.agree
 
 (* --- stitched history structure --- *)

@@ -119,6 +119,33 @@ let test_latency_models () =
     Alcotest.(check bool) "bimodal values" true (v = 2 || v = 50)
   done
 
+(* [pp] prints the [--latency] syntax, so every printed model (the
+   CLI's [absent=] defaults included) parses back to itself. *)
+let test_latency_round_trip () =
+  List.iter
+    (fun l ->
+      let s = Fmt.str "%a" Latency.pp l in
+      Alcotest.(check bool) s true (Latency.of_string s = Ok l))
+    [
+      Latency.default;
+      Latency.Constant 0;
+      Latency.Constant 7;
+      Latency.Uniform (5, 15);
+      Latency.Uniform (3, 3);
+      Latency.Exponential 1;
+      Latency.Exponential 40;
+      Latency.Bimodal { fast = 2; slow = 50; p_slow = 0.5 };
+      Latency.Bimodal { fast = 1; slow = 200; p_slow = 0.1 };
+      Latency.Bimodal { fast = 0; slow = 9; p_slow = 1.0 /. 3.0 };
+      Latency.Bimodal { fast = 3; slow = 3; p_slow = 0.0 };
+      Latency.Bimodal { fast = 3; slow = 4; p_slow = 1.0 };
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Latency.of_string s)))
+    [ "uniform(5,15)"; "uniform:9:3"; "constant:-5"; "exp:0"; "bimodal:1:2:1.5"; "" ]
+
 let test_network_delivery () =
   let e = Engine.create () in
   let rng = Rng.create 5 in
@@ -257,6 +284,8 @@ let () =
       ( "network",
         [
           Alcotest.test_case "latency models" `Quick test_latency_models;
+          Alcotest.test_case "latency syntax round-trip" `Quick
+            test_latency_round_trip;
           Alcotest.test_case "delivery" `Quick test_network_delivery;
           Alcotest.test_case "reordering" `Quick test_network_reordering_possible;
           Alcotest.test_case "fifo layer" `Quick test_fifo_channel_orders;
